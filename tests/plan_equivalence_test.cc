@@ -1,15 +1,16 @@
 // Equivalence harness for the compile -> optimize -> execute pipeline: every
 // seed database in data/ and every canned query from core/queries.h must
 // produce *byte-identical* QueryAnswer formulas through
-//   (a) the legacy single-pass tree walk (Options::use_plan = false, kept
-//       for one release as the oracle),
-//   (b) the raw plan (use_plan = true, optimize = false),
-//   (c) the optimized plan (use_plan = true, optimize = true), and
-//   (d) the bytecode VM over the optimized plan (use_bytecode = true),
+//   (0) the legacy single-pass tree walk (use_plan = false),
+//   (a) the raw plan (optimize = false),
+//   (b) the optimized plan (optimize = true), and
+//   (c) the bytecode VM over the optimized plan (use_bytecode = true),
 //       traced and untraced — tracing must never change an answer.
-// The optimizer's contract is representation preservation, not mere logical
-// equivalence, so the comparison is on ToString() output.
-// LCDB_TEST_DATA_DIR is injected by CMake.
+// Each mode diffs against the pinned golden corpus (tests/golden.h), not
+// against another mode. The optimizer's contract is representation
+// preservation, not mere logical equivalence, so the comparison is on
+// ToString() output.
+// LCDB_TEST_DATA_DIR / LCDB_TEST_GOLDEN_DIR are injected by CMake.
 
 #include <gtest/gtest.h>
 
@@ -25,15 +26,12 @@
 #include "db/workloads.h"
 #include "engine/kernel.h"
 #include "engine/trace.h"
+#include "golden.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
 namespace lcdb {
 namespace {
-
-#ifndef LCDB_TEST_DATA_DIR
-#define LCDB_TEST_DATA_DIR "data"
-#endif
 
 ConstraintDatabase Load(const std::string& name) {
   auto db = LoadDatabaseFromFile(std::string(LCDB_TEST_DATA_DIR) + "/" + name);
@@ -41,13 +39,25 @@ ConstraintDatabase Load(const std::string& name) {
   return *db;
 }
 
+/// An evaluation mode of the sweep.
+struct Mode {
+  const char* name;
+  bool use_plan;
+  bool optimize;
+  bool use_bytecode;
+};
+constexpr Mode kLegacy{"legacy walk", false, true, false};
+constexpr Mode kRaw{"raw plan", true, false, false};
+constexpr Mode kOptimized{"optimized plan", true, true, false};
+constexpr Mode kVm{"bytecode VM", true, true, true};
+
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
-                      bool use_plan, bool optimize,
-                      bool use_bytecode = false) {
+                      const Mode& mode, bool memoize = true) {
   Evaluator::Options options;
-  options.use_plan = use_plan;
-  options.optimize = optimize;
-  options.use_bytecode = use_bytecode;
+  options.use_plan = mode.use_plan;
+  options.optimize = mode.optimize;
+  options.use_bytecode = mode.use_bytecode;
+  options.memoize = memoize;
   Evaluator evaluator(ext, options);
   auto answer = evaluator.Evaluate(query);
   EXPECT_TRUE(answer.ok()) << answer.status().ToString();
@@ -58,26 +68,26 @@ std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
 /// `check_raw` additionally runs the unoptimized plan, which executes with
 /// no subformula caching at all — skipped for the workloads where that
 /// ablation is minutes-expensive (it is still covered on the cheap ones).
-void ExpectAllModesAgree(const RegionExtension& ext, const std::string& text,
-                         bool check_raw = true) {
+void ExpectModesMatchGolden(const std::string& instance,
+                            const RegionExtension& ext,
+                            const std::string& text, bool check_raw = true) {
   auto query = ParseQuery(text, ext.database().relation_name());
   ASSERT_TRUE(query.ok()) << text << "\n" << query.status().ToString();
-  const std::string legacy = AnswerVia(ext, **query, false, true);
-  if (check_raw) {
-    EXPECT_EQ(legacy, AnswerVia(ext, **query, true, false))
-        << "raw plan diverges on: " << text;
-  }
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true))
-      << "optimized plan diverges on: " << text;
-  EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true))
-      << "bytecode VM diverges on: " << text;
+  auto expect = [&](const Mode& mode) {
+    ExpectGoldenAnswer(instance, text, AnswerVia(ext, **query, mode),
+                       mode.name);
+  };
+  expect(kLegacy);
+  if (check_raw) expect(kRaw);
+  expect(kOptimized);
+  expect(kVm);
   {
     // Traced VM run: span emission sits on the dispatch hot path, so it is
     // swept too — tracing must be observation only.
     QueryTracer tracer;
     ScopedTracer scoped(tracer);
-    EXPECT_EQ(legacy, AnswerVia(ext, **query, true, true, true))
-        << "traced bytecode VM diverges on: " << text;
+    ExpectGoldenAnswer(instance, text, AnswerVia(ext, **query, kVm),
+                       "traced bytecode VM");
   }
 }
 
@@ -106,13 +116,12 @@ std::vector<std::string> QueriesForArity(size_t arity) {
 }
 
 TEST(PlanEquivalenceTest, DataFiles) {
-  for (const char* name : {"triangle.lcdb", "comb.lcdb", "intervals.lcdb",
-                           "pentagon.lcdb", "wedge.lcdb"}) {
+  for (const std::string& name : DataFileNames()) {
     SCOPED_TRACE(name);
     ConstraintDatabase db = Load(name);
     auto ext = MakeArrangementExtension(db);
     for (const std::string& text : QueriesForArity(db.arity())) {
-      ExpectAllModesAgree(*ext, text);
+      ExpectModesMatchGolden(InstanceOf(name), *ext, text);
     }
   }
 }
@@ -130,7 +139,9 @@ TEST(PlanEquivalenceTest, LiteralConnQuery) {
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     ConstraintDatabase db("S", *f, {"x", "y"});
     auto ext = MakeArrangementExtension(db);
-    ExpectAllModesAgree(*ext, ConnQueryText(2), /*check_raw=*/false);
+    ExpectModesMatchGolden(
+        connected ? "conn_connected" : "conn_disconnected", *ext,
+        ConnQueryText(2), /*check_raw=*/false);
   }
 }
 
@@ -143,10 +154,13 @@ TEST(PlanEquivalenceTest, RiverScenario) {
                                 ? MakeRiverScenario(3, {1}, {0}, {2})
                                 : MakeRiverScenario(3, {1}, {0}, {});
     auto ext = MakeArrangementExtension(db);
-    ExpectAllModesAgree(*ext, RiverPollutionQueryText(),
-                        /*check_raw=*/false);
+    ExpectModesMatchGolden(polluted ? "river_polluted" : "river_clean", *ext,
+                           RiverPollutionQueryText(), /*check_raw=*/false);
   }
 }
+
+/// Golden instance of the MakeComb(2, true) fixpoint tests below.
+constexpr char kComb2[] = "comb2";
 
 TEST(PlanEquivalenceTest, FixpointFlavours) {
   // LFP / IFP / PFP variants of reachability plus a diverging PFP.
@@ -160,81 +174,49 @@ TEST(PlanEquivalenceTest, FixpointFlavours) {
   for (const std::string& text :
        {lfp, ifp, pfp,
         std::string("exists A . [pfp M R : !(M(R))](A)")}) {
-    ExpectAllModesAgree(*ext, text);
+    ExpectModesMatchGolden(kComb2, *ext, text);
   }
 }
 
 TEST(PlanEquivalenceTest, MemoizationOffAgrees) {
-  // The ablation configuration (no caching anywhere) must also agree.
+  // The ablation configuration (no caching anywhere) must also match.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
+  const std::string text = RegionConnQueryText();
+  auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok());
-  Evaluator::Options legacy_opts;
-  legacy_opts.use_plan = false;
-  legacy_opts.memoize = false;
-  Evaluator legacy(*ext, legacy_opts);
-  auto oracle = legacy.Evaluate(**query);
-  ASSERT_TRUE(oracle.ok());
-  Evaluator::Options plan_opts;
-  plan_opts.memoize = false;
-  Evaluator plan(*ext, plan_opts);
-  auto answer = plan.Evaluate(**query);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(oracle->ToString(), answer->ToString());
-  Evaluator::Options vm_opts;
-  vm_opts.memoize = false;
-  vm_opts.use_bytecode = true;
-  Evaluator vm(*ext, vm_opts);
-  auto vm_answer = vm.Evaluate(**query);
-  ASSERT_TRUE(vm_answer.ok());
-  EXPECT_EQ(oracle->ToString(), vm_answer->ToString());
+  for (const Mode& mode : {kLegacy, kOptimized, kVm}) {
+    ExpectGoldenAnswer(kComb2, text,
+                       AnswerVia(*ext, **query, mode, /*memoize=*/false),
+                       std::string(mode.name) + " (memoize off)");
+  }
 }
 
 TEST(PlanEquivalenceTest, KernelBackendSweep) {
-  // Kernel-backend sweep (satellite of the lemma-database PR): the LRU
-  // baseline, the activity-managed lemma database, and memoize-off must all
-  // produce byte-identical answers, on both the tree walk and the bytecode
-  // VM, across the data/ seed databases and the canned query set. Lemma
-  // truth is a pure function of the canonical encoding, so the backend can
-  // only change hit rates — this sweep is the executable form of that
-  // contract.
-  struct Backend {
-    const char* name;
-    ConstraintKernel::Options options;
-  };
-  const Backend backends[] = {
-      {"lru", {/*memoize=*/true, /*max_entries=*/1u << 18,
-               /*use_lemma_db=*/false}},
-      {"lemma-db", {/*memoize=*/true, /*max_entries=*/1u << 18,
-                    /*use_lemma_db=*/true}},
-      {"memoize-off", {/*memoize=*/false, /*max_entries=*/1u << 18,
-                       /*use_lemma_db=*/false}},
-  };
-  for (const char* name : {"triangle.lcdb", "comb.lcdb", "intervals.lcdb",
-                           "pentagon.lcdb", "wedge.lcdb"}) {
-    SCOPED_TRACE(name);
-    ConstraintDatabase db = Load(name);
-    auto ext = MakeArrangementExtension(db);
-    for (const std::string& text : QueriesForArity(db.arity())) {
-      SCOPED_TRACE(text);
-      auto query = ParseQuery(text, db.relation_name());
-      ASSERT_TRUE(query.ok()) << query.status().ToString();
-      std::string tree_oracle;
-      std::string vm_oracle;
-      for (const Backend& backend : backends) {
-        SCOPED_TRACE(backend.name);
-        ConstraintKernel kernel(backend.options);
+  // Kernel-backend sweep: the activity-managed lemma database and
+  // memoize-off must both match the golden answers, on both the tree walk
+  // and the bytecode VM, across the data/ seed databases and the canned
+  // query set. Lemma truth is a pure function of the canonical encoding, so
+  // the backend can only change hit rates — this sweep is the executable
+  // form of that contract.
+  for (int backend : {0, 1, 2}) {  // 2: the LRU backend
+    const bool memoize = backend != 1;
+    SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
+    for (const std::string& name : DataFileNames()) {
+      SCOPED_TRACE(name);
+      ConstraintDatabase db = Load(name);
+      auto ext = MakeArrangementExtension(db);
+      for (const std::string& text : QueriesForArity(db.arity())) {
+        auto query = ParseQuery(text, db.relation_name());
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        ConstraintKernel::Options kernel_options;
+        kernel_options.memoize = memoize;
+        kernel_options.use_lemma_db = backend != 2;
+        ConstraintKernel kernel(kernel_options);
         ScopedKernel scope(kernel);
-        const std::string tree = AnswerVia(*ext, **query, true, true);
-        const std::string vm = AnswerVia(*ext, **query, true, true, true);
-        EXPECT_EQ(tree, vm);
-        if (tree_oracle.empty()) {
-          tree_oracle = tree;
-          vm_oracle = vm;
-        } else {
-          EXPECT_EQ(tree, tree_oracle);
-          EXPECT_EQ(vm, vm_oracle);
+        for (const Mode& mode : {kOptimized, kVm}) {
+          ExpectGoldenAnswer(InstanceOf(name), text,
+                             AnswerVia(*ext, **query, mode), mode.name);
         }
       }
     }
@@ -245,34 +227,23 @@ TEST(PlanEquivalenceTest, InterruptResumeSweep) {
   // Checkpoint/resume equivalence (core/resume.h): interrupt the Kleene
   // loop at stage k via the fixpoint.stage failpoint, resume with the token
   // the failure Status carries, and require the final answer byte-identical
-  // to an uninterrupted run — across every backend (legacy walk, plan tree,
-  // bytecode VM) x kernel backend (lemma DB, LRU) x interrupt stage.
-  struct Backend {
-    const char* name;
-    bool use_plan;
-    bool use_bytecode;
-  };
-  const Backend backends[] = {
-      {"legacy", false, false}, {"tree", true, false}, {"vm", true, true}};
+  // to the golden one — across every backend (plan tree, bytecode VM) x
+  // kernel memoization (lemma DB, off) x interrupt stage.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   const std::string text = RegionConnQueryText();
   auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok()) << query.status().ToString();
-  for (const Backend& backend : backends) {
-    SCOPED_TRACE(backend.name);
-    for (bool lemma_db : {true, false}) {
-      SCOPED_TRACE(lemma_db ? "lemma-db" : "lru");
+  for (const Mode& mode : {kOptimized, kVm}) {
+    SCOPED_TRACE(mode.name);
+    for (bool memoize : {true, false}) {
+      SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
       ConstraintKernel::Options kernel_options;
-      kernel_options.use_lemma_db = lemma_db;
+      kernel_options.memoize = memoize;
       ConstraintKernel kernel(kernel_options);
       ScopedKernel scope(kernel);
       Evaluator::Options options;
-      options.use_plan = backend.use_plan;
-      options.use_bytecode = backend.use_bytecode;
-      Evaluator reference_evaluator(*ext, options);
-      auto reference = reference_evaluator.Evaluate(**query);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      options.use_bytecode = mode.use_bytecode;
       for (uint64_t stage : {0u, 1u, 2u}) {
         SCOPED_TRACE("interrupt at stage " + std::to_string(stage));
         Evaluator evaluator(*ext, options);
@@ -286,7 +257,8 @@ TEST(PlanEquivalenceTest, InterruptResumeSweep) {
         ASSERT_NE(token, 0u) << "resource failure carried no resume token";
         auto resumed = evaluator.Evaluate(**query, token);
         ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-        EXPECT_EQ(resumed->ToString(), reference->ToString());
+        ExpectGoldenAnswer(kComb2, text, resumed->ToString(),
+                           std::string(mode.name) + " (resumed)");
         const Evaluator::Stats& s = evaluator.stats();
         EXPECT_GT(s.resume_fixpoints_resumed + s.resume_sets_restored, 0u)
             << "resume did not reuse the checkpoint";
