@@ -46,10 +46,10 @@
 // Every query runs through a persistent QuerySession (engine/session.h):
 // budgets reset per attempt, resource trips retry with escalated budgets
 // resuming from fixpoint checkpoints, and persistent faults walk the
-// degradation ladder (vm->tree, lemma->lru, memoize->off, trace->off). A
-// failure of any kind (parse error, type error, tripped budget, injected
-// fault) prints a one-line diagnostic — naming the tripped budget when
-// there is one — and the shell keeps going.
+// degradation ladder (vm->tree, memoize->off, trace->off). A failure of
+// any kind (parse error, type error, tripped budget, injected fault) prints
+// a one-line diagnostic — naming the tripped budget when there is one — and
+// the shell keeps going.
 //
 // Example session:
 //   db S(x) : (x > 0 & x < 1) | x = 5
@@ -502,8 +502,7 @@ void CmdShowCache() {
   lcdb::ConstraintKernel& kernel = lcdb::CurrentKernel();
   const std::shared_ptr<lcdb::LemmaDatabase>& db = kernel.lemma_db();
   if (db == nullptr) {
-    std::printf("  lemma db                 off (%s backend)\n",
-                kernel.options().memoize ? "LRU" : "memoize-off");
+    std::printf("  lemma db                 off (memoize-off)\n");
     return;
   }
   const std::array<size_t, 3> tiers = db->TierCounts();

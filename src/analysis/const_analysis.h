@@ -15,7 +15,7 @@ namespace lcdb {
 // Compile-time constant analysis shared by the optimizer's dead-branch
 // pruning (plan/optimizer.cc) and the analyzer's vacuity diagnostics
 // (analysis/analyzer.cc). Both layers ask the same questions of the same
-// ambient kernel; its canonical LRU memoizes the underlying oracle
+// ambient kernel; its lemma database memoizes the underlying oracle
 // decisions, so a guard the analyzer classified costs the optimizer a cache
 // hit, never a second LP solve.
 

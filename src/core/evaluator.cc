@@ -1,7 +1,8 @@
 #include "core/evaluator.h"
 
-#include <algorithm>
+#include <functional>
 #include <optional>
+#include <set>
 
 #include "analysis/analyzer.h"
 #include "analysis/bytecode_verify.h"
@@ -13,7 +14,6 @@
 #include "engine/kernel.h"
 #include "engine/obslog.h"
 #include "engine/trace.h"
-#include "geometry/convex_closure.h"
 #include "plan/bytecode.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
@@ -74,11 +74,17 @@ Status CheckTupleSpaces(const FormulaNode& node, size_t num_regions,
 /// Rejection shared by Evaluate and ExplainBytecode: bytecode lowering is
 /// defined over *optimized* plans only (register allocation and the memo
 /// descriptors assume the optimizer's annotations), so the combination is
-/// an argument error, never a silent fallback to the tree walk.
+/// an argument error, never a silent fallback to the tree executor.
 Status BytecodeNeedsOptimizer() {
   return Status::InvalidArgument(
       "use_bytecode requires an optimized plan: bytecode lowering is "
       "defined over optimized plans only — drop --no-optimize or --vm");
+}
+
+/// Start of a phase clock: read only when a flight record is being kept,
+/// so the unrecorded path stays clock-free.
+uint64_t PhaseStartNs(const QueryRecord* record) {
+  return record != nullptr ? ObsNowNs() : 0;
 }
 
 }  // namespace
@@ -89,8 +95,8 @@ void Evaluator::SettleAmbient(const KernelStats& kernel_before,
   stats_.kernel += delta;
   if (span != nullptr) {
     // Lemma-database share of this query's kernel work; zero counters are
-    // suppressed so the LRU / memoize-off configurations keep their span
-    // shapes unchanged.
+    // suppressed so the memoize-off configuration keeps its span shapes
+    // unchanged.
     if (delta.lemma_hits > 0) span->Counter("lemma.hits", delta.lemma_hits);
     const uint64_t lemma_evictions = delta.lemma_evictions_core +
                                      delta.lemma_evictions_frequent +
@@ -103,6 +109,114 @@ void Evaluator::SettleAmbient(const KernelStats& kernel_before,
   if (QueryGovernor* g = CurrentGovernorOrNull()) stats_.governor = g->stats();
 }
 
+Result<TypeInfo> Evaluator::TypecheckPhase(const FormulaNode& query,
+                                           QueryRecord* record) {
+  const uint64_t start_ns = PhaseStartNs(record);
+  Result<TypeInfo> checked = [&] {
+    TraceSpan typecheck_span("typecheck");
+    return TypeCheck(query, ext_.database());
+  }();
+  if (record != nullptr) record->typecheck_ns = ObsNowNs() - start_ns;
+  if (!checked.ok()) return checked.status();
+  LCDB_RETURN_IF_ERROR(CheckTupleSpaces(query, ext_.num_regions(),
+                                        options_.max_tuple_space));
+  return checked;
+}
+
+Status Evaluator::AnalyzePhase(const FormulaNode& query, const TypeInfo& info,
+                               QueryRecord* record) {
+  // Guard classification consults the ambient oracle, so its work counts
+  // against this query's budgets, and every truth it establishes is
+  // memoized for the optimizer's folding pass downstream. Hard diagnostics
+  // turn into a clean rejection before any plan is built, so no entry point
+  // prints or runs a plan for a query Evaluate would reject.
+  TraceSpan analyze_span("analyze");
+  const uint64_t start_ns = PhaseStartNs(record);
+  AnalyzerOptions analyzer_options;
+  analyzer_options.num_regions = ext_.num_regions();
+  analyzer_options.max_tuple_space = options_.max_tuple_space;
+  AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
+  stats_.analysis = analysis.stats;
+  if (record != nullptr) record->analyze_ns = ObsNowNs() - start_ns;
+  if (!analysis.diagnostics.empty()) {
+    analyze_span.Counter("diagnostics", analysis.diagnostics.size());
+  }
+  if (analysis.has_errors()) return AnalysisErrorStatus(analysis, source_);
+  return Status::Ok();
+}
+
+CompiledPlan Evaluator::PlanBuildPhase(const FormulaNode& query,
+                                       const TypeInfo& info,
+                                       QueryRecord* record) {
+  TraceSpan build_span("plan.build");
+  const uint64_t start_ns = PhaseStartNs(record);
+  CompiledPlan plan = BuildPlan(query, info, ext_);
+  if (record != nullptr) record->plan_build_ns = ObsNowNs() - start_ns;
+  return plan;
+}
+
+Status Evaluator::PlanOptimizePhase(CompiledPlan* plan, PlanCostReport* cost,
+                                    QueryRecord* record) {
+  const uint64_t start_ns = PhaseStartNs(record);
+  if (options_.optimize) {
+    {
+      TraceSpan optimize_span("plan.optimize");
+      OptimizePlan(plan, &stats_.plan);
+      optimize_span.Counter("plan_nodes", stats_.plan.plan_nodes);
+    }
+    // Tier-2 pass over the optimized plan: cost estimates feed the
+    // plan.cost.* metrics family (and the EXPLAIN cost column). Pure
+    // plan-shape arithmetic — no kernel calls — but traced so its share of
+    // compile time is visible.
+    TraceSpan cost_span("plan.cost");
+    PlanCostOptions cost_options;
+    cost_options.max_tuple_space = options_.max_tuple_space;
+    PlanCostReport report = AnalyzePlanCost(*plan, cost_options);
+    stats_.plan_cost = report.stats;
+    cost_span.Counter("est_bigint_ops", stats_.plan_cost.total_bigint_ops);
+    if (cost != nullptr) *cost = std::move(report);
+  } else {
+    stats_.plan.plan_nodes = CountPlanNodes(*plan->root);
+  }
+  // Tier-3 gate: no plan reaches an executor or a printer unverified. A
+  // violation here is an optimizer/planner bug surfacing as a clean LCDB012
+  // kInternal instead of undefined executor behaviour downstream.
+  if (options_.verify) {
+    TraceSpan verify_span("plan.verify");
+    LCDB_RETURN_IF_ERROR(VerifyPlan(
+        *plan, options_.optimize ? "after plan.optimize" : "after plan.build",
+        &stats_.verify));
+    verify_span.Counter("plan_nodes", stats_.verify.plan_nodes_verified);
+  }
+  // The phase covers the pass pipeline, the tier-2 cost pass and the
+  // verifier.
+  if (record != nullptr) record->plan_optimize_ns = ObsNowNs() - start_ns;
+  return Status::Ok();
+}
+
+Status Evaluator::Compile(const FormulaNode& query, const TypeInfo& info,
+                          CompiledPlan* plan, PlanCostReport* cost,
+                          QueryRecord* record) {
+  // Per-compile telemetry: reset up front, so a query rejected before the
+  // optimizer never reports the previous compile's numbers.
+  stats_.plan = PlanPassStats();
+  stats_.plan_cost = PlanCostStats();
+  stats_.verify = VerifyStats();
+  LCDB_RETURN_IF_ERROR(AnalyzePhase(query, info, record));
+  *plan = PlanBuildPhase(query, info, record);
+  return PlanOptimizePhase(plan, cost, record);
+}
+
+DnfFormula Evaluator::ExecutePhase(const CompiledPlan& plan,
+                                   PlanProfile* profile, QueryRecord* record) {
+  TraceSpan execute_span("plan.execute");
+  const uint64_t start_ns = PhaseStartNs(record);
+  DnfFormula result = ExecutePlan(plan, ext_, options_, &stats_, profile);
+  if (record != nullptr) record->execute_ns = ObsNowNs() - start_ns;
+  execute_span.Counter("rows", result.disjuncts().size());
+  return result;
+}
+
 Result<QueryAnswer> Evaluator::Evaluate(const FormulaNode& query) {
   return EvaluateImpl(query, nullptr, nullptr);
 }
@@ -113,14 +227,12 @@ Result<QueryAnswer> Evaluator::Evaluate(const FormulaNode& query,
 }
 
 uint64_t Evaluator::ResumeFingerprint(const FormulaNode& query) const {
-  // Site ordinals are pre-order positions in the executed artifact, which
-  // is determined by the query text plus the backend-selection options:
-  // plan vs legacy walk (use_bytecode forces the plan path) and optimized
-  // vs raw plan. memoize and the tree-vs-VM choice do not move sites — both
-  // plan backends execute the same plan nodes and share its numbering, so a
-  // token survives a VM -> tree-walk degradation step.
+  // Site ordinals are pre-order positions in the executed plan, which is
+  // determined by the query text plus optimized vs raw plan. memoize and
+  // the tree-vs-VM choice do not move sites — both backends execute the
+  // same plan nodes and share its numbering, so a token survives a VM ->
+  // tree degradation step.
   std::string key = query.ToString();
-  key += (options_.use_plan || options_.use_bytecode) ? "|plan" : "|walk";
   key += options_.optimize ? "|opt" : "|raw";
   return StableHash64(key);
 }
@@ -129,26 +241,20 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
                                             PlanProfile* profile,
                                             CompiledPlan* plan_out,
                                             uint64_t resume_token) {
-  if (options_.use_bytecode && !options_.optimize) {
-    return BytecodeNeedsOptimizer();
-  }
   // Flight-recorder instrumentation (engine/obslog.h): per-phase clocks are
   // read only when a recorder is installed, so the uninstrumented path
   // keeps the one-relaxed-load contract of the tracer/failpoint sites.
   QueryFlightRecorder* recorder = ActiveFlightRecorderOrNull();
   QueryRecord record;
-  const uint64_t record_start_ns = recorder != nullptr ? ObsNowNs() : 0;
+  QueryRecord* const phase_record = recorder != nullptr ? &record : nullptr;
+  const uint64_t record_start_ns = PhaseStartNs(phase_record);
   QueryTracer* ambient_tracer = ActiveTracerOrNull();
   const uint64_t tracer_dropped_before =
       ambient_tracer != nullptr ? ambient_tracer->spans_dropped() : 0;
   if (recorder != nullptr) {
     record.query_hash =
         StableHash64(source_.empty() ? query.ToString() : source_);
-    record.backend =
-        options_.use_bytecode
-            ? "vm"
-            : ((options_.use_plan || plan_out != nullptr) ? "tree"
-                                                          : "legacy");
+    record.backend = options_.use_bytecode ? "vm" : "tree";
   }
   // Rejections before the kernel window carry no kernel/governor data.
   auto append_early_failure = [&](const Status& status) {
@@ -158,43 +264,26 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     record.status_code = StatusCodeName(status.code());
     recorder->Append(std::move(record));
   };
-  TraceSpan evaluate_span("evaluate");
-  const uint64_t typecheck_start_ns = recorder != nullptr ? ObsNowNs() : 0;
-  Result<TypeInfo> checked = [&] {
-    TraceSpan typecheck_span("typecheck");
-    return TypeCheck(query, ext_.database());
-  }();
-  if (recorder != nullptr) {
-    record.typecheck_ns = ObsNowNs() - typecheck_start_ns;
+  if (options_.use_bytecode && !options_.optimize) {
+    Status rejected = BytecodeNeedsOptimizer();
+    append_early_failure(rejected);
+    return rejected;
   }
+  TraceSpan evaluate_span("evaluate");
+  Result<TypeInfo> checked = TypecheckPhase(query, phase_record);
   if (!checked.ok()) {
     append_early_failure(checked.status());
     return checked.status();
   }
   TypeInfo info = std::move(checked).value();
-  if (Status tuple_spaces = CheckTupleSpaces(query, ext_.num_regions(),
-                                             options_.max_tuple_space);
-      !tuple_spaces.ok()) {
-    append_early_failure(tuple_spaces);
-    return tuple_spaces;
-  }
-  info_ = &info;
-  num_columns_ = info.all_element_vars.size();
-  // Per-query caches depend on node identity; clear between queries. The
-  // per-operator timings are per-query too: without the reset repeated
+  // The per-operator timings are per-query: without the reset repeated
   // Evaluate calls silently accumulate into one blurred total.
-  memo_.clear();
-  bool_memo_.clear();
-  fixpoint_cache_.clear();
-  closure_cache_.clear();
   stats_.op_timings.clear();
   stats_.vm = VmStats();
-  stats_.verify = VerifyStats();
-  stats_.plan_cost = PlanCostStats();
 
   // Checkpoint/resume plumbing (core/resume.h). A nonzero token re-installs
   // the ResumeState a prior interrupted run stashed; the collector is
-  // published thread-locally so all three fixpoint engines reach it without
+  // published thread-locally so both plan backends reach it without
   // signature changes. Tokens are single-use: the stored state is consumed
   // here whether or not the continuation succeeds.
   std::optional<ResumeCollector> resume_collector;
@@ -235,16 +324,16 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   // happens inside the window because the optimizer's folding pass issues
   // feasibility queries of its own.
   // Bind the lemma store's occurrence index to this extension's database
-  // representation (cheap no-op when it is already bound or under the
-  // LRU/memoize-off backends), so lemmas learned below carry per-disjunct
-  // occurrence lists for targeted invalidation.
+  // representation (cheap no-op when it is already bound or under
+  // memoize-off), so lemmas learned below carry per-disjunct occurrence
+  // lists for targeted invalidation.
   CurrentKernel().BindLemmaOccurrences(ext_.database().representation());
   const KernelStats kernel_before = CurrentKernel().stats();
   stats_.governor = GovernorStats();
   // Bookkeeping shared by the success and interrupt exits. Every cache the
-  // unwind can cross inserts complete entries only, and the per-query memos
-  // above are cleared on entry, so a tripped query leaves the evaluator
-  // ready for the next one with no residue.
+  // unwind can cross inserts complete entries only, and the executors'
+  // memos live and die with one query, so a tripped query leaves the
+  // evaluator ready for the next one with no residue.
   auto settle = [&] {
     SettleAmbient(kernel_before, &evaluate_span);
     if (ambient_tracer != nullptr) {
@@ -253,7 +342,6 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
       stats_.trace_spans_dropped +=
           ambient_tracer->spans_dropped() - tracer_dropped_before;
     }
-    info_ = nullptr;
   };
   // Settled-exit counterpart of append_early_failure: fills the governor
   // and kernel columns from the attempt's final stats and appends. Called
@@ -276,150 +364,42 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     record.resume_token = status.resume_token();
     recorder->Append(std::move(record));
   };
-  DnfFormula result = DnfFormula::False(num_columns_);
+  DnfFormula result = DnfFormula::False(info.all_element_vars.size());
   try {
-    // Mandatory static analysis between typecheck and planning. Inside the
-    // kernel window and the try block: guard classification consults the
-    // ambient oracle, so its work counts against this query's budgets, and
-    // every truth it establishes is memoized for the optimizer's folding
-    // pass downstream. Hard diagnostics turn into a clean rejection before
-    // any plan is built.
-    {
-      TraceSpan analyze_span("analyze");
-      const uint64_t analyze_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
-      AnalyzerOptions analyzer_options;
-      analyzer_options.num_regions = ext_.num_regions();
-      analyzer_options.max_tuple_space = options_.max_tuple_space;
-      AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
-      stats_.analysis = analysis.stats;
-      if (recorder != nullptr) {
-        record.analyze_ns = ObsNowNs() - analyze_start_ns;
-      }
-      if (!analysis.diagnostics.empty()) {
-        analyze_span.Counter("diagnostics", analysis.diagnostics.size());
-      }
-      if (analysis.has_errors()) {
-        settle();
-        Status rejected = AnalysisErrorStatus(analysis, source_);
-        finish_record(rejected);
-        return rejected;
-      }
+    CompiledPlan plan;
+    if (Status compiled = Compile(query, info, &plan, nullptr, phase_record);
+        !compiled.ok()) {
+      settle();
+      finish_record(compiled);
+      return compiled;
     }
-    // EXPLAIN ANALYZE's profile keys are plan nodes, so a plan_out request
-    // forces the plan pipeline even under use_plan=false; the bytecode VM
-    // only exists behind it.
-    if (options_.use_plan || plan_out != nullptr || options_.use_bytecode) {
-      CompiledPlan plan;
-      {
-        TraceSpan build_span("plan.build");
-        const uint64_t build_start_ns =
-            recorder != nullptr ? ObsNowNs() : 0;
-        plan = BuildPlan(query, info, ext_);
-        if (recorder != nullptr) {
-          record.plan_build_ns = ObsNowNs() - build_start_ns;
-        }
-      }
-      const uint64_t optimize_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
-      if (options_.optimize) {
-        {
-          TraceSpan optimize_span("plan.optimize");
-          stats_.plan = PlanPassStats();
-          OptimizePlan(&plan, &stats_.plan);
-          optimize_span.Counter("plan_nodes", stats_.plan.plan_nodes);
-        }
-        // Tier-2 pass over the optimized plan: cost estimates feed the
-        // plan.cost.* metrics family (and the EXPLAIN cost column). Pure
-        // plan-shape arithmetic — no kernel calls — but traced so its
-        // share of compile time is visible.
-        TraceSpan cost_span("plan.cost");
-        PlanCostOptions cost_options;
-        cost_options.max_tuple_space = options_.max_tuple_space;
-        stats_.plan_cost = AnalyzePlanCost(plan, cost_options).stats;
-        cost_span.Counter("est_bigint_ops", stats_.plan_cost.total_bigint_ops);
-      } else {
-        stats_.plan = PlanPassStats();
-        stats_.plan.plan_nodes = CountPlanNodes(*plan.root);
-      }
-      // Tier-3 gate: no plan reaches an executor unverified. A violation
-      // here is an optimizer/planner bug surfacing as a clean LCDB012
-      // kInternal instead of undefined executor behaviour downstream.
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified = VerifyPlan(
-            plan, options_.optimize ? "after plan.optimize" : "after plan.build",
-            &stats_.verify);
-        if (!verified.ok()) {
-          settle();
-          finish_record(verified);
-          return verified;
-        }
-        verify_span.Counter("plan_nodes", stats_.verify.plan_nodes_verified);
-      }
-      if (recorder != nullptr) {
-        // The optimize phase covers the pass pipeline plus the tier-2 cost
-        // pass; the plan fingerprint hashes the final printed plan, so two
-        // records agree exactly when their executions ran the same plan.
-        record.plan_optimize_ns = ObsNowNs() - optimize_start_ns;
-        record.plan_fingerprint = StableHash64(PrintPlan(plan));
-      }
-      if (plan_out != nullptr) *plan_out = plan;
-      if (resume_collector.has_value()) {
-        RegisterResumeSites(*plan.root, *resume_collector);
-      }
-      TraceSpan execute_span("plan.execute");
-      const uint64_t execute_start_ns =
-          recorder != nullptr ? ObsNowNs() : 0;
-      result = ExecutePlan(plan, ext_, options_, &stats_, profile);
-      if (recorder != nullptr) {
-        record.execute_ns = ObsNowNs() - execute_start_ns;
-      }
-      execute_span.Counter("rows", result.disjuncts().size());
-    } else {
-      if (resume_collector.has_value()) {
-        RegisterResumeSites(query, *resume_collector);
-      }
-      TraceSpan walk_span("legacy.walk");
-      const uint64_t walk_start_ns = recorder != nullptr ? ObsNowNs() : 0;
-      RegionEnv renv;
-      SetEnv senv;
-      result = Eval(query, renv, senv);
-      if (recorder != nullptr) {
-        record.execute_ns = ObsNowNs() - walk_start_ns;
-      }
-      walk_span.Counter("rows", result.disjuncts().size());
+    if (recorder != nullptr) {
+      // The plan fingerprint hashes the final printed plan, so two records
+      // agree exactly when their executions ran the same plan.
+      record.plan_fingerprint = StableHash64(PrintPlan(plan));
     }
+    if (plan_out != nullptr) *plan_out = plan;
+    if (resume_collector.has_value()) {
+      RegisterResumeSites(*plan.root, *resume_collector);
+    }
+    result = ExecutePhase(plan, profile, phase_record);
   } catch (const QueryInterrupt& interrupt) {
     // Recovery boundary: budget trips, cancellation and injected faults all
     // surface here as the Status naming what went wrong.
     settle();
     Status status = interrupt.status();
-    if (resume_collector.has_value() && status.IsResourceFailure()) {
-      // The legacy walk's fixpoint/closure caches are evaluator members and
-      // are still intact here (cleared at Evaluate *entry*, complete entries
-      // only); harvest them. The plan backends' caches are stack-local, so
-      // those engines harvest inside their own unwind instead. Anything
-      // collected becomes a single-use token on the returned Status.
-      for (const auto& entry : fixpoint_cache_) {
-        if (uint64_t site = resume_collector->SiteKey(entry.first)) {
-          resume_collector->CaptureCompletedFixpoint(site, entry.second);
-        }
+    // The executors' caches are stack-local, so each harvests its completed
+    // fixpoint/closure sets into the collector during its own unwind.
+    // Anything collected becomes a single-use token on the returned Status.
+    if (resume_collector.has_value() && status.IsResourceFailure() &&
+        resume_collector->has_progress()) {
+      const uint64_t token = ++next_resume_token_;
+      resume_states_[token] = StoredResumeState{
+          ResumeFingerprint(query), resume_collector->TakeState()};
+      while (resume_states_.size() > kMaxStoredResumeStates) {
+        resume_states_.erase(resume_states_.begin());
       }
-      for (const auto& entry : closure_cache_) {
-        if (uint64_t site = resume_collector->SiteKey(entry.first)) {
-          resume_collector->CaptureCompletedClosure(site, entry.second);
-        }
-      }
-      if (resume_collector->has_progress()) {
-        const uint64_t token = ++next_resume_token_;
-        resume_states_[token] = StoredResumeState{
-            ResumeFingerprint(query), resume_collector->TakeState()};
-        while (resume_states_.size() > kMaxStoredResumeStates) {
-          resume_states_.erase(resume_states_.begin());
-        }
-        status.set_resume_token(token);
-      }
+      status.set_resume_token(token);
     }
     finish_record(status);
     return status;
@@ -446,174 +426,80 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   return answer;
 }
 
-Result<std::string> Evaluator::Explain(const FormulaNode& query) {
-  TraceSpan explain_span("explain");
-  Result<TypeInfo> checked = [&] {
-    TraceSpan typecheck_span("typecheck");
-    return TypeCheck(query, ext_.database());
-  }();
-  if (!checked.ok()) return checked.status();
-  TypeInfo info = std::move(checked).value();
-  LCDB_RETURN_IF_ERROR(CheckTupleSpaces(query, ext_.num_regions(),
-                                        options_.max_tuple_space));
-  // Compilation spends kernel work (the folding pass asks feasibility
-  // questions), so Explain settles the ambient counters exactly as Evaluate
-  // does — on the success and the interrupt path alike.
+Result<std::string> Evaluator::CompileAndRender(
+    const FormulaNode& query, PlanCostReport* cost,
+    const std::function<Result<std::string>(const CompiledPlan&)>& render) {
+  LCDB_ASSIGN_OR_RETURN(TypeInfo info, TypecheckPhase(query, nullptr));
+  // Compilation spends kernel work (the analyzer and the folding pass ask
+  // feasibility questions), so the compile-only entry points settle the
+  // ambient counters exactly as Evaluate does — on the success and the
+  // interrupt path alike.
   const KernelStats kernel_before = CurrentKernel().stats();
   stats_.governor = GovernorStats();
   try {
-    // Explain runs the same mandatory analysis phase as Evaluate, so a
-    // query Evaluate would reject never gets a plan printed for it.
-    {
-      TraceSpan analyze_span("analyze");
-      AnalyzerOptions analyzer_options;
-      analyzer_options.num_regions = ext_.num_regions();
-      analyzer_options.max_tuple_space = options_.max_tuple_space;
-      AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
-      stats_.analysis = analysis.stats;
-      if (!analysis.diagnostics.empty()) {
-        analyze_span.Counter("diagnostics", analysis.diagnostics.size());
-      }
-      if (analysis.has_errors()) {
-        SettleAmbient(kernel_before);
-        return AnalysisErrorStatus(analysis, source_);
-      }
-    }
     CompiledPlan plan;
-    {
-      TraceSpan build_span("plan.build");
-      plan = BuildPlan(query, info, ext_);
-    }
-    stats_.plan = PlanPassStats();
-    stats_.plan_cost = PlanCostStats();
-    stats_.verify = VerifyStats();
-    std::string out;
-    if (options_.optimize) {
-      {
-        TraceSpan optimize_span("plan.optimize");
-        OptimizePlan(&plan, &stats_.plan);
-      }
-      // Tier-2 estimates annotate every node line of the explain output
-      // and surface the pass's diagnostics (LCDB011 dead caches, the
-      // cost-refined LCDB004 budget warning) under the plan.
-      TraceSpan cost_span("plan.cost");
-      PlanCostOptions cost_options;
-      cost_options.max_tuple_space = options_.max_tuple_space;
-      PlanCostReport cost = AnalyzePlanCost(plan, cost_options);
-      stats_.plan_cost = cost.stats;
-      // Same tier-3 gate as Evaluate: never print a plan the executor
-      // would refuse.
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified =
-            VerifyPlan(plan, "after plan.optimize", &stats_.verify);
-        if (!verified.ok()) {
-          SettleAmbient(kernel_before);
-          return verified;
-        }
-      }
-      out = PrintPlan(plan, nullptr, &cost.costs);
-      out += "-- " + stats_.plan.ToString() + "\n";
-      out += "-- cost: nodes=" + std::to_string(cost.stats.nodes) +
-             " est_bigint_ops=" + std::to_string(cost.stats.total_bigint_ops) +
-             " est_answer_rows=" + std::to_string(cost.stats.est_answer_rows) +
-             " dead_caches=" + std::to_string(cost.stats.dead_caches) + "\n";
-      if (!cost.diagnostics.empty()) {
-        out += RenderDiagnostics(cost.diagnostics, source_);
-      }
-    } else {
-      if (options_.verify) {
-        TraceSpan verify_span("plan.verify");
-        Status verified = VerifyPlan(plan, "after plan.build", &stats_.verify);
-        if (!verified.ok()) {
-          SettleAmbient(kernel_before);
-          return verified;
-        }
-      }
-      out = PrintPlan(plan);
-      out += "-- " + stats_.plan.ToString() + "\n";
-    }
+    Status compiled = Compile(query, info, &plan, cost, nullptr);
+    Result<std::string> out =
+        compiled.ok() ? render(plan) : Result<std::string>(compiled);
     SettleAmbient(kernel_before);
     return out;
   } catch (const QueryInterrupt& interrupt) {
-    // A budget or injected fault can fire during Explain too.
+    // A budget or injected fault can fire while compiling too.
     SettleAmbient(kernel_before);
     return interrupt.status();
   }
 }
 
+Result<std::string> Evaluator::Explain(const FormulaNode& query) {
+  TraceSpan explain_span("explain");
+  PlanCostReport cost;
+  return CompileAndRender(
+      query, &cost, [&](const CompiledPlan& plan) -> Result<std::string> {
+        if (!options_.optimize) {
+          return PrintPlan(plan) + "-- " + stats_.plan.ToString() + "\n";
+        }
+        // Tier-2 estimates annotate every node line of the explain output
+        // and surface the pass's diagnostics (LCDB011 dead caches, the
+        // cost-refined LCDB004 budget warning) under the plan.
+        std::string out = PrintPlan(plan, nullptr, &cost.costs);
+        out += "-- " + stats_.plan.ToString() + "\n";
+        out += "-- cost: nodes=" + std::to_string(cost.stats.nodes) +
+               " est_bigint_ops=" +
+               std::to_string(cost.stats.total_bigint_ops) +
+               " est_answer_rows=" +
+               std::to_string(cost.stats.est_answer_rows) +
+               " dead_caches=" + std::to_string(cost.stats.dead_caches) +
+               "\n";
+        if (!cost.diagnostics.empty()) {
+          out += RenderDiagnostics(cost.diagnostics, source_);
+        }
+        return out;
+      });
+}
+
 Result<std::string> Evaluator::ExplainBytecode(const FormulaNode& query) {
   if (!options_.optimize) return BytecodeNeedsOptimizer();
   TraceSpan explain_span("explain.bytecode");
-  Result<TypeInfo> checked = [&] {
-    TraceSpan typecheck_span("typecheck");
-    return TypeCheck(query, ext_.database());
-  }();
-  if (!checked.ok()) return checked.status();
-  TypeInfo info = std::move(checked).value();
-  LCDB_RETURN_IF_ERROR(CheckTupleSpaces(query, ext_.num_regions(),
-                                        options_.max_tuple_space));
-  const KernelStats kernel_before = CurrentKernel().stats();
-  stats_.governor = GovernorStats();
-  try {
-    // Same mandatory analysis gate as Evaluate/Explain: a rejected query
-    // never gets a program listing.
-    {
-      TraceSpan analyze_span("analyze");
-      AnalyzerOptions analyzer_options;
-      analyzer_options.num_regions = ext_.num_regions();
-      analyzer_options.max_tuple_space = options_.max_tuple_space;
-      AnalysisResult analysis = AnalyzeQuery(query, info, analyzer_options);
-      stats_.analysis = analysis.stats;
-      if (analysis.has_errors()) {
-        SettleAmbient(kernel_before);
-        return AnalysisErrorStatus(analysis, source_);
-      }
-    }
-    CompiledPlan plan;
-    {
-      TraceSpan build_span("plan.build");
-      plan = BuildPlan(query, info, ext_);
-    }
-    stats_.plan = PlanPassStats();
-    stats_.verify = VerifyStats();
-    {
-      TraceSpan optimize_span("plan.optimize");
-      OptimizePlan(&plan, &stats_.plan);
-    }
-    if (options_.verify) {
-      TraceSpan verify_span("plan.verify");
-      Status verified =
-          VerifyPlan(plan, "after plan.optimize", &stats_.verify);
-      if (!verified.ok()) {
-        SettleAmbient(kernel_before);
-        return verified;
-      }
-    }
-    BytecodeProgram program = [&] {
-      TraceSpan lower_span("plan.lower");
-      return CompileToBytecode(plan);
-    }();
-    if (options_.verify) {
-      // The listing must stay byte-identical to DisassembleBytecode (the
-      // golden test pins it), so verification only gates — no footer.
-      TraceSpan verify_span("bytecode.verify");
-      BytecodeVerifyResult verdict = VerifyBytecode(program);
-      AccumulateVerifyStats(verdict, &stats_.verify);
-      if (!verdict.status.ok()) {
-        SettleAmbient(kernel_before);
-        return verdict.status;
-      }
-    }
-    stats_.vm = VmStats();
-    stats_.vm.procs = program.procs.size();
-    stats_.vm.code_instructions = program.TotalInstructions();
-    SettleAmbient(kernel_before);
-    return DisassembleBytecode(program);
-  } catch (const QueryInterrupt& interrupt) {
-    SettleAmbient(kernel_before);
-    return interrupt.status();
-  }
+  return CompileAndRender(
+      query, nullptr, [&](const CompiledPlan& plan) -> Result<std::string> {
+        BytecodeProgram program = [&] {
+          TraceSpan lower_span("plan.lower");
+          return CompileToBytecode(plan);
+        }();
+        if (options_.verify) {
+          // The listing must stay byte-identical to DisassembleBytecode
+          // (the golden test pins it), so verification only gates — no
+          // footer.
+          TraceSpan verify_span("bytecode.verify");
+          BytecodeVerifyResult verdict = VerifyBytecode(program);
+          AccumulateVerifyStats(verdict, &stats_.verify);
+          if (!verdict.status.ok()) return verdict.status;
+        }
+        stats_.vm = VmStats();
+        stats_.vm.procs = program.procs.size();
+        stats_.vm.code_instructions = program.TotalInstructions();
+        return DisassembleBytecode(program);
+      });
 }
 
 Result<std::string> Evaluator::ExplainAnalyze(const FormulaNode& query) {
@@ -662,338 +548,6 @@ Result<bool> Evaluator::EvaluateSentence(const FormulaNode& query,
     SettleAmbient(kernel_before);
     return interrupt.status();
   }
-}
-
-size_t Evaluator::Column(const std::string& name) const {
-  for (size_t i = 0; i < info_->all_element_vars.size(); ++i) {
-    if (info_->all_element_vars[i] == name) return i;
-  }
-  LCDB_CHECK_MSG(false, "unknown element variable");
-  return 0;
-}
-
-std::vector<AffineExpr> Evaluator::TermSubstitution(
-    const std::vector<ElementTerm>& terms) const {
-  std::vector<AffineExpr> map;
-  map.reserve(terms.size());
-  for (const ElementTerm& t : terms) {
-    AffineExpr e;
-    e.coeffs.assign(num_columns_, Rational(0));
-    for (const auto& [name, coeff] : t.coeffs) {
-      e.coeffs[Column(name)] = coeff;
-    }
-    e.constant = t.constant;
-    map.push_back(std::move(e));
-  }
-  return map;
-}
-
-bool Evaluator::MemoKey(const FormulaNode& node, const RegionEnv& renv,
-                        const SetEnv& senv, Tuple* key) const {
-  const FreeVars& fv = info_->of(node);
-  // Set-dependent results are only reusable within one fixpoint stage; with
-  // several free region variables the key space matches the tuple space and
-  // every entry would be written once and never read. Cache only narrow
-  // keys there (e.g. the hoisted "Z was visited" test of the river query).
-  if (!fv.set_vars.empty() && fv.region.size() > 1) return false;
-  key->clear();
-  for (const std::string& r : fv.region) {  // std::set: name-sorted
-    auto it = renv.find(r);
-    LCDB_CHECK(it != renv.end());
-    key->push_back(it->second);
-  }
-  // Set-dependent results are cached per fixpoint *stage* via the binding's
-  // version stamp.
-  for (const std::string& m : fv.set_vars) {
-    key->push_back(senv.at(m).version);
-  }
-  return true;
-}
-
-bool Evaluator::EvalRegionAtom(const FormulaNode& node, RegionEnv& renv,
-                               SetEnv& senv) {
-  auto region = [&](size_t i) { return renv.at(node.region_args[i]); };
-  switch (node.kind) {
-    case NodeKind::kAdjacent:
-      return ext_.Adjacent(region(0), region(1));
-    case NodeKind::kRegionEq:
-      return region(0) == region(1);
-    case NodeKind::kSubsetS:
-      return ext_.RegionSubsetOfS(region(0));
-    case NodeKind::kIntersectsS:
-      return ext_.RegionIntersectsS(region(0));
-    case NodeKind::kDimAtom:
-      return ext_.RegionDim(region(0)) == node.dim_value;
-    case NodeKind::kBoundedAtom:
-      return ext_.RegionBounded(region(0));
-    case NodeKind::kSetAtom: {
-      const TupleSet* set = senv.at(node.set_var).tuples;
-      Tuple tuple;
-      tuple.reserve(node.region_args.size());
-      for (const std::string& r : node.region_args) tuple.push_back(renv.at(r));
-      return set->count(tuple) > 0;
-    }
-    case NodeKind::kLfp:
-    case NodeKind::kIfp:
-    case NodeKind::kPfp: {
-      const TupleSet& fp = FixpointSet(node);
-      Tuple tuple;
-      tuple.reserve(node.region_args.size());
-      for (const std::string& r : node.region_args) tuple.push_back(renv.at(r));
-      return fp.count(tuple) > 0;
-    }
-    case NodeKind::kTc:
-    case NodeKind::kDtc: {
-      const auto& closure = ClosureMatrix(node);
-      Tuple from, to;
-      for (const std::string& r : node.region_args) from.push_back(renv.at(r));
-      for (const std::string& r : node.region_args2) to.push_back(renv.at(r));
-      return closure[TupleIndex(from)][TupleIndex(to)];
-    }
-    case NodeKind::kRbit:
-      return EvalRbit(node, renv, senv);
-    default:
-      LCDB_CHECK_MSG(false, "not a region atom");
-      return false;
-  }
-}
-
-DnfFormula Evaluator::Eval(const FormulaNode& node, RegionEnv& renv,
-                           SetEnv& senv) {
-  // Cancellation point per node of the legacy walk — in particular one per
-  // region-quantifier expansion step, the walk's widest loops.
-  GovernorCheckpoint();
-  ++stats_.node_evaluations;
-  Tuple key;
-  const bool cacheable = options_.memoize && info_->WorthCaching(node) &&
-                         MemoKey(node, renv, senv, &key);
-  if (cacheable) {
-    auto& per_node = memo_[&node];
-    auto it = per_node.find(key);
-    if (it != per_node.end()) {
-      ++stats_.memo_hits;
-      return it->second;
-    }
-  }
-  DnfFormula result = EvalUncached(node, renv, senv);
-  if (cacheable) memo_[&node].emplace(std::move(key), result);
-  return result;
-}
-
-DnfFormula Evaluator::EvalUncached(const FormulaNode& node, RegionEnv& renv,
-                                   SetEnv& senv) {
-  const size_t m = num_columns_;
-  switch (node.kind) {
-    case NodeKind::kTrue:
-      return DnfFormula::True(m);
-    case NodeKind::kFalse:
-      return DnfFormula::False(m);
-    case NodeKind::kCompare: {
-      ElementTerm diff = node.lhs.Minus(node.rhs);
-      Vec coeffs(m);
-      for (const auto& [name, coeff] : diff.coeffs) {
-        coeffs[Column(name)] = coeff;
-      }
-      return DnfFormula::FromAtom(LinearAtom(coeffs, node.rel, -diff.constant));
-    }
-    case NodeKind::kRelationAtom:
-      return ext_.database().representation().Substitute(
-          TermSubstitution(node.terms), m);
-    case NodeKind::kInRegion: {
-      const Conjunction& region =
-          ext_.RegionFormula(renv.at(node.region_args[0]));
-      DnfFormula region_formula(region.num_vars(), {region});
-      return region_formula.Substitute(TermSubstitution(node.terms), m);
-    }
-    case NodeKind::kAdjacent:
-    case NodeKind::kRegionEq:
-    case NodeKind::kSubsetS:
-    case NodeKind::kIntersectsS:
-    case NodeKind::kDimAtom:
-    case NodeKind::kBoundedAtom:
-    case NodeKind::kSetAtom:
-    case NodeKind::kLfp:
-    case NodeKind::kIfp:
-    case NodeKind::kPfp:
-    case NodeKind::kTc:
-    case NodeKind::kDtc:
-    case NodeKind::kRbit:
-      return EvalRegionAtom(node, renv, senv) ? DnfFormula::True(m)
-                                              : DnfFormula::False(m);
-    case NodeKind::kNot:
-      return Eval(*node.children[0], renv, senv).Negate();
-    case NodeKind::kAnd: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
-      if (a.IsSyntacticallyFalse()) return a;
-      return a.And(Eval(*node.children[1], renv, senv));
-    }
-    case NodeKind::kOr: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
-      if (a.IsSyntacticallyTrue()) return a;
-      return a.Or(Eval(*node.children[1], renv, senv));
-    }
-    case NodeKind::kImplies: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
-      if (a.IsSyntacticallyFalse()) return DnfFormula::True(m);
-      return a.Negate().Or(Eval(*node.children[1], renv, senv));
-    }
-    case NodeKind::kIff: {
-      DnfFormula a = Eval(*node.children[0], renv, senv);
-      DnfFormula b = Eval(*node.children[1], renv, senv);
-      return a.And(b).Or(a.Negate().And(b.Negate()));
-    }
-    case NodeKind::kHull: {
-      // Section 8 extension: evaluate the body, project onto the bound
-      // variables, take the closed convex hull, and substitute the applied
-      // terms (geometry/convex_closure.h).
-      DnfFormula body = Eval(*node.children[0], renv, senv);
-      const size_t k = node.bound_vars.size();
-      std::vector<AffineExpr> project;
-      project.reserve(num_columns_);
-      std::vector<size_t> bound_columns;
-      for (const std::string& v : node.bound_vars) {
-        bound_columns.push_back(Column(v));
-      }
-      for (size_t col = 0; col < num_columns_; ++col) {
-        size_t hull_index = k;
-        for (size_t i = 0; i < k; ++i) {
-          if (bound_columns[i] == col) {
-            hull_index = i;
-            break;
-          }
-        }
-        project.push_back(hull_index < k
-                              ? AffineExpr::Variable(k, hull_index)
-                              : AffineExpr::Constant(k, Rational(0)));
-      }
-      DnfFormula projected = body.Substitute(project, k);
-      Result<DnfFormula> hull = ConvexClosure(projected);
-      LCDB_CHECK_MSG(hull.ok(), "convex closure failed");
-      return hull->Substitute(TermSubstitution(node.terms), m);
-    }
-    case NodeKind::kExistsElem: {
-      ++stats_.qe_eliminations;
-      return ExistsVariable(Eval(*node.children[0], renv, senv),
-                            Column(node.bound_vars[0]));
-    }
-    case NodeKind::kForallElem: {
-      ++stats_.qe_eliminations;
-      return ForallVariable(Eval(*node.children[0], renv, senv),
-                            Column(node.bound_vars[0]));
-    }
-    case NodeKind::kExistsRegion: {
-      ++stats_.region_expansions;
-      DnfFormula acc = DnfFormula::False(m);
-      for (size_t r = 0; r < ext_.num_regions(); ++r) {
-        renv[node.bound_vars[0]] = r;
-        acc = acc.Or(Eval(*node.children[0], renv, senv));
-        if (acc.IsSyntacticallyTrue()) break;
-      }
-      renv.erase(node.bound_vars[0]);
-      return acc;
-    }
-    case NodeKind::kForallRegion: {
-      ++stats_.region_expansions;
-      DnfFormula acc = DnfFormula::True(m);
-      for (size_t r = 0; r < ext_.num_regions(); ++r) {
-        renv[node.bound_vars[0]] = r;
-        acc = acc.And(Eval(*node.children[0], renv, senv));
-        if (acc.IsSyntacticallyFalse()) break;
-      }
-      renv.erase(node.bound_vars[0]);
-      return acc;
-    }
-  }
-  LCDB_CHECK(false);
-  return DnfFormula::False(m);
-}
-
-bool Evaluator::EvalBool(const FormulaNode& node, RegionEnv& renv,
-                         SetEnv& senv) {
-  GovernorCheckpoint();
-  ++stats_.bool_evaluations;
-  Tuple key;
-  const bool cacheable = options_.memoize && info_->WorthCaching(node) &&
-                         MemoKey(node, renv, senv, &key);
-  if (cacheable) {
-    auto& per_node = bool_memo_[&node];
-    auto it = per_node.find(key);
-    if (it != per_node.end()) {
-      ++stats_.memo_hits;
-      return it->second;
-    }
-  }
-  const bool result = EvalBoolUncached(node, renv, senv);
-  if (cacheable) bool_memo_[&node].emplace(std::move(key), result);
-  return result;
-}
-
-bool Evaluator::EvalBoolUncached(const FormulaNode& node, RegionEnv& renv,
-                                 SetEnv& senv) {
-  switch (node.kind) {
-    case NodeKind::kTrue:
-      return true;
-    case NodeKind::kFalse:
-      return false;
-    case NodeKind::kNot:
-      return !EvalBool(*node.children[0], renv, senv);
-    case NodeKind::kAnd:
-      return EvalBool(*node.children[0], renv, senv) &&
-             EvalBool(*node.children[1], renv, senv);
-    case NodeKind::kOr:
-      return EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
-    case NodeKind::kImplies:
-      return !EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
-    case NodeKind::kIff:
-      return EvalBool(*node.children[0], renv, senv) ==
-             EvalBool(*node.children[1], renv, senv);
-    case NodeKind::kExistsRegion: {
-      bool found = false;
-      for (size_t r = 0; r < ext_.num_regions() && !found; ++r) {
-        renv[node.bound_vars[0]] = r;
-        found = EvalBool(*node.children[0], renv, senv);
-      }
-      renv.erase(node.bound_vars[0]);
-      return found;
-    }
-    case NodeKind::kForallRegion: {
-      bool holds = true;
-      for (size_t r = 0; r < ext_.num_regions() && holds; ++r) {
-        renv[node.bound_vars[0]] = r;
-        holds = EvalBool(*node.children[0], renv, senv);
-      }
-      renv.erase(node.bound_vars[0]);
-      return holds;
-    }
-    case NodeKind::kAdjacent:
-    case NodeKind::kRegionEq:
-    case NodeKind::kSubsetS:
-    case NodeKind::kIntersectsS:
-    case NodeKind::kDimAtom:
-    case NodeKind::kBoundedAtom:
-    case NodeKind::kSetAtom:
-    case NodeKind::kLfp:
-    case NodeKind::kIfp:
-    case NodeKind::kPfp:
-    case NodeKind::kTc:
-    case NodeKind::kDtc:
-    case NodeKind::kRbit:
-      return EvalRegionAtom(node, renv, senv);
-    case NodeKind::kCompare:
-    case NodeKind::kRelationAtom:
-    case NodeKind::kInRegion:
-    case NodeKind::kHull:
-    case NodeKind::kExistsElem:
-    case NodeKind::kForallElem:
-      // Element-sort subtree: evaluate symbolically and test emptiness.
-      // In a boolean context all element variables inside are bound, so the
-      // result is a variable-free (constant) formula.
-      return !Eval(node, renv, senv).IsEmpty();
-  }
-  LCDB_CHECK(false);
-  return false;
 }
 
 MetricsSnapshot Evaluator::Stats::ToMetrics() const {

@@ -1,9 +1,9 @@
 #ifndef LCDB_CORE_EVALUATOR_H_
 #define LCDB_CORE_EVALUATOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +23,8 @@
 namespace lcdb {
 
 struct CompiledPlan;
+struct PlanCostReport;
+struct QueryRecord;
 
 /// Answer of a (possibly non-boolean) query: a quantifier-free DNF formula
 /// over the query's free element variables — the closure property of
@@ -36,7 +38,9 @@ struct QueryAnswer {
 
 /// Evaluator for RegFO / RegLFP / RegIFP / RegPFP / RegTC / RegDTC queries
 /// over a region extension. This is the proof of Theorem 4.3 (and the
-/// fixed-point cases of Theorem 6.1) turned into an algorithm:
+/// fixed-point cases of Theorem 6.1) turned into an algorithm, run as the
+/// pipeline typecheck -> analyze -> plan build -> plan optimize -> execute
+/// (plan/planner.h, plan/optimizer.h, and plan/executor.h or plan/vm.h):
 ///
 ///  * element-sort subformulas are evaluated *symbolically*: each node
 ///    yields a quantifier-free DNF formula over the query's element
@@ -64,17 +68,10 @@ class Evaluator {
     size_t max_pfp_iterations = 1u << 16;
     /// Cap on n^m tuple-space size for fixed points and TC.
     size_t max_tuple_space = 1u << 22;
-    /// Evaluate through the compile -> optimize -> execute pipeline
-    /// (plan/planner.h, plan/optimizer.h, plan/executor.h). When false the
-    /// legacy single-pass tree walk is used instead; the two produce
-    /// byte-identical answer formulas. The legacy walk is kept for one
-    /// release as an oracle for the equivalence tests and will then be
-    /// removed.
-    bool use_plan = true;
-    /// Run the optimizer's pass pipeline over the compiled plan. Only
-    /// meaningful with use_plan; disabling it also disables all subformula
-    /// caching, because caching decisions are a pass (MarkCacheable) — this
-    /// is the ablation EXPERIMENTS.md's optimizer-telemetry row measures.
+    /// Run the optimizer's pass pipeline over the compiled plan. Disabling
+    /// it also disables all subformula caching, because caching decisions
+    /// are a pass (MarkCacheable) — this is the ablation EXPERIMENTS.md's
+    /// optimizer-telemetry row measures.
     bool optimize = true;
     /// Execute through the register bytecode VM (plan/bytecode.h, plan/vm.h)
     /// instead of the tree-walking PlanExecutor: the optimized plan is
@@ -125,7 +122,7 @@ class Evaluator {
     /// checkpoints passed, deadline reads, and — after a failed query —
     /// which budget tripped. All zeros when the query ran ungoverned.
     GovernorStats governor;
-    /// Optimizer pass counters of the most recent compilation (plan mode).
+    /// Optimizer pass counters of the most recent compilation.
     PlanPassStats plan;
     /// Static-analyzer telemetry of the most recent Evaluate/Explain call
     /// (diagnostic counts by severity, guard classification work).
@@ -139,9 +136,9 @@ class Evaluator {
     /// tree backend ran; reset at each Evaluate entry like op_timings.
     VmStats vm;
     /// Tier-3 static-verifier telemetry (analysis/verify_stats.h) of the
-    /// most recent Evaluate call: plans/programs verified, dataflow
-    /// coverage, and the proved facts the tier-2 analyzer tightens on.
-    /// Reset at each Evaluate entry like op_timings.
+    /// most recent compile: plans/programs verified, dataflow coverage, and
+    /// the proved facts the tier-2 analyzer tightens on. Reset at each
+    /// compile, like `plan` and `plan_cost`.
     VerifyStats verify;
     /// Tier-2 cost-analyzer aggregates of the most recent compile
     /// (analysis/plan_cost.h). Zeros when optimization was off.
@@ -203,12 +200,11 @@ class Evaluator {
   /// counters, without executing it (`lcdbq --explain`).
   Result<std::string> Explain(const FormulaNode& query);
 
-  /// EXPLAIN ANALYZE: compiles, optimizes and *executes* the query through
-  /// the plan pipeline (regardless of Options::use_plan — the profile is a
-  /// plan-level artifact), returning the plan tree annotated per node with
-  /// measured execution — calls, inclusive wall-clock, kernel decisions and
-  /// cache hits, executor memo hits, governor checkpoints and result
-  /// cardinality — plus pass-counter / kernel / governor footer lines.
+  /// EXPLAIN ANALYZE: compiles, optimizes and *executes* the query,
+  /// returning the plan tree annotated per node with measured execution —
+  /// calls, inclusive wall-clock, kernel decisions and cache hits, executor
+  /// memo hits, governor checkpoints and result cardinality — plus
+  /// pass-counter / kernel / governor footer lines.
   /// Stats settle exactly as in Evaluate.
   Result<std::string> ExplainAnalyze(const FormulaNode& query);
 
@@ -229,32 +225,56 @@ class Evaluator {
   /// *this* evaluator, because resume tokens are scoped to the instance.
   /// ResumeFingerprint deliberately treats the VM and the tree executor as
   /// one backend, so a checkpoint taken on the VM replays after a
-  /// vm->tree degradation; flipping use_plan or optimize instead changes
-  /// the fingerprint and invalidates outstanding tokens.
+  /// vm->tree degradation; flipping optimize instead changes the
+  /// fingerprint and invalidates outstanding tokens.
   Options& mutable_options() { return options_; }
 
  private:
-  using RegionEnv = std::map<std::string, size_t>;
-  using Tuple = std::vector<size_t>;
-  using TupleSet = std::set<Tuple>;
-  /// A set-variable binding: the current stage's tuple set plus a version
-  /// stamp that changes whenever the stage changes, so memoized results of
-  /// set-dependent subformulas are keyed by stage (Options::memoize).
-  struct SetBinding {
-    const TupleSet* tuples = nullptr;
-    size_t version = 0;
-  };
-  using SetEnv = std::map<std::string, SetBinding>;
-
   /// Shared engine of Evaluate and ExplainAnalyze: the full pipeline with
   /// optional per-plan-node profiling. When `plan_out` is non-null the
   /// compiled plan is copied out (it owns the nodes the profile's keys point
-  /// at) and the plan pipeline runs regardless of Options::use_plan. A
-  /// nonzero `resume_token` seeds execution with a saved checkpoint.
+  /// at). A nonzero `resume_token` seeds execution with a saved checkpoint.
   Result<QueryAnswer> EvaluateImpl(const FormulaNode& query,
                                    PlanProfile* profile,
                                    CompiledPlan* plan_out,
                                    uint64_t resume_token = 0);
+
+  // The pipeline phases, named after the flight recorder's phase fields
+  // (engine/obslog.h) and opening the trace spans of the same names.
+  // Evaluate, Explain, ExplainAnalyze and ExplainBytecode all run them in
+  // this order; a non-null `record` receives each phase's wall-clock. All
+  // but TypecheckPhase ask the kernel, so they run inside the caller's
+  // kernel window and QueryInterrupt boundary.
+
+  /// Type checking plus the tuple-space pre-check.
+  Result<TypeInfo> TypecheckPhase(const FormulaNode& query,
+                                  QueryRecord* record);
+  /// Mandatory static analysis; error diagnostics become the returned
+  /// rejection, rendered against the attached source.
+  Status AnalyzePhase(const FormulaNode& query, const TypeInfo& info,
+                      QueryRecord* record);
+  CompiledPlan PlanBuildPhase(const FormulaNode& query, const TypeInfo& info,
+                              QueryRecord* record);
+  /// The optimizer pipeline and the tier-2 cost pass (when
+  /// Options::optimize; `cost`, if non-null, receives the report), then the
+  /// tier-3 plan verifier (when Options::verify), whose violation is the
+  /// returned Status.
+  Status PlanOptimizePhase(CompiledPlan* plan, PlanCostReport* cost,
+                           QueryRecord* record);
+  /// The analyze, plan_build and plan_optimize phases back to back.
+  Status Compile(const FormulaNode& query, const TypeInfo& info,
+                 CompiledPlan* plan, PlanCostReport* cost,
+                 QueryRecord* record);
+  /// Shared body of Explain and ExplainBytecode: the typecheck phase, then
+  /// Compile and `render` inside a kernel window and QueryInterrupt
+  /// boundary that settles ambient telemetry on every exit.
+  Result<std::string> CompileAndRender(
+      const FormulaNode& query, PlanCostReport* cost,
+      const std::function<Result<std::string>(const CompiledPlan&)>& render);
+  /// Runs the plan on the tree executor, or on the VM under
+  /// Options::use_bytecode (plan/vm.h's ExecutePlan).
+  DnfFormula ExecutePhase(const CompiledPlan& plan, PlanProfile* profile,
+                          QueryRecord* record);
 
   /// Settles ambient per-query telemetry into stats_: the kernel delta
   /// since `kernel_before` and the installed governor's counters. When
@@ -263,52 +283,10 @@ class Evaluator {
   void SettleAmbient(const KernelStats& kernel_before,
                      TraceSpan* span = nullptr);
 
-  // Core symbolic recursion (evaluator.cc).
-  DnfFormula Eval(const FormulaNode& node, RegionEnv& renv, SetEnv& senv);
-  DnfFormula EvalUncached(const FormulaNode& node, RegionEnv& renv,
-                          SetEnv& senv);
-  /// Fast path for subformulas without free element variables.
-  bool EvalBool(const FormulaNode& node, RegionEnv& renv, SetEnv& senv);
-  bool EvalBoolUncached(const FormulaNode& node, RegionEnv& renv,
-                        SetEnv& senv);
-
-  /// Ground truth of atoms given a region environment.
-  bool EvalRegionAtom(const FormulaNode& node, RegionEnv& renv,
-                      SetEnv& senv);
-
-  /// Column index of an element variable.
-  size_t Column(const std::string& name) const;
-  /// The affine substitution map turning a d-tuple of terms into columns.
-  std::vector<AffineExpr> TermSubstitution(
-      const std::vector<ElementTerm>& terms) const;
-  /// Memo key: values of the node's free region variables, name-sorted.
-  bool MemoKey(const FormulaNode& node, const RegionEnv& renv,
-               const SetEnv& senv, Tuple* key) const;
-
-  // Fixed points (fixpoint.cc).
-  const TupleSet& FixpointSet(const FormulaNode& node);
-
-  // Transitive closures (transitive_closure.cc).
-  /// Reachability bitmap of the (deterministic) reflexive-transitive
-  /// closure for a TC/DTC node; indexed [from][to] over tuple indices.
-  const std::vector<std::vector<bool>>& ClosureMatrix(const FormulaNode& node);
-  size_t TupleIndex(const Tuple& tuple) const;
-
-  // rBIT (rbit.cc).
-  bool EvalRbit(const FormulaNode& node, RegionEnv& renv, SetEnv& senv);
-
   const RegionExtension& ext_;
   Options options_;
   Stats stats_;
   std::string source_;  // query text for diagnostic rendering (may be empty)
-  const TypeInfo* info_ = nullptr;  // valid during Evaluate
-  size_t num_columns_ = 0;
-
-  std::map<const FormulaNode*, std::map<Tuple, DnfFormula>> memo_;
-  std::map<const FormulaNode*, std::map<Tuple, bool>> bool_memo_;
-  std::map<const FormulaNode*, TupleSet> fixpoint_cache_;
-  size_t set_version_counter_ = 0;
-  std::map<const FormulaNode*, std::vector<std::vector<bool>>> closure_cache_;
 
   /// Checkpoints stashed by interrupted Evaluate calls, keyed by the token
   /// carried on the failure Status. `fingerprint` pins the query text and

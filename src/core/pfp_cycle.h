@@ -12,8 +12,8 @@
 
 namespace lcdb {
 
-/// PFP cycle detection shared by the legacy walk (core/fixpoint.cc) and the
-/// plan executor (plan/executor.cc).
+/// PFP cycle detection shared by the plan executor (plan/executor.cc) and
+/// the bytecode VM (plan/vm.cc).
 ///
 /// The naive scheme kept every stage's full serialization in an
 /// unordered_set<string>; for a diverging PFP over a large tuple space that

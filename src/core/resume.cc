@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "core/ast.h"
 #include "plan/plan_ir.h"
 
 namespace lcdb {
@@ -20,23 +19,6 @@ ScopedResumeCollector::ScopedResumeCollector(ResumeCollector& collector)
 
 ScopedResumeCollector::~ScopedResumeCollector() {
   g_current_collector = previous_;
-}
-
-void RegisterResumeSites(const FormulaNode& root, ResumeCollector& collector) {
-  switch (root.kind) {
-    case NodeKind::kLfp:
-    case NodeKind::kIfp:
-    case NodeKind::kPfp:
-    case NodeKind::kTc:
-    case NodeKind::kDtc:
-      collector.RegisterSite(&root);
-      break;
-    default:
-      break;
-  }
-  for (const auto& child : root.children) {
-    if (child != nullptr) RegisterResumeSites(*child, collector);
-  }
 }
 
 namespace {

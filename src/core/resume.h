@@ -9,7 +9,6 @@
 
 namespace lcdb {
 
-struct FormulaNode;
 struct PlanNode;
 
 /// Checkpoint/resume for fixpoint evaluation (ISSUE 8).
@@ -20,10 +19,9 @@ struct PlanNode;
 /// only ever hold complete entries. The resume layer preserves that paid-for
 /// work across the interrupt instead. While an Evaluate call runs, a
 /// thread-local ResumeCollector (the same ambient-install idiom as
-/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the three fixpoint
-/// engines — the legacy walk (core/fixpoint.cc), the plan-tree executor
-/// (plan/executor.cc) and the bytecode VM (plan/vm.cc). When an interrupt
-/// unwinds, each engine deposits:
+/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the two fixpoint
+/// engines — the plan-tree executor (plan/executor.cc) and the bytecode VM
+/// (plan/vm.cc). When an interrupt unwinds, each engine deposits:
 ///
 ///  * every *completed* fixpoint set and closure matrix (harvested from the
 ///    engine's per-query cache during the unwind), and
@@ -40,9 +38,8 @@ struct PlanNode;
 /// operator is re-encountered.
 ///
 /// Sites are keyed by deterministic pre-order ordinals over the fixpoint /
-/// closure operators of the executed artifact (the optimized plan for the
-/// plan backends, the AST for the legacy walk). Compilation and optimization
-/// are deterministic, so re-evaluating the same query under the same options
+/// closure operators of the executed plan. Compilation and optimization are
+/// deterministic, so re-evaluating the same query under the same options
 /// assigns identical keys; the tree executor and the VM execute the same
 /// plan, so a state captured under one is resumable under the other.
 struct FixpointResumePoint {
@@ -157,10 +154,6 @@ class ScopedResumeCollector {
  private:
   ResumeCollector* previous_;
 };
-
-/// Pre-order registration of every fixpoint (kLfp/kIfp/kPfp) and closure
-/// (kTc/kDtc) operator in an AST — the legacy walk's site numbering.
-void RegisterResumeSites(const FormulaNode& root, ResumeCollector& collector);
 
 /// Pre-order registration of every kFixpointMember / kClosureMember node in
 /// a plan — shared by the tree executor and the VM (both run the same plan

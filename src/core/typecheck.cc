@@ -319,39 +319,6 @@ class Checker {
   std::vector<std::string> element_appearance_;
 };
 
-/// Marks nodes whose subtree contains a quantifier, an element-sort atom or
-/// an operator (fixpoint/TC/rBIT) — evaluation of those does enough work to
-/// justify a memo-table lookup. Returns the flag for `node`.
-bool ComputeWorthCaching(const FormulaNode& node,
-                         std::map<const FormulaNode*, bool>* out) {
-  bool worth = false;
-  switch (node.kind) {
-    case NodeKind::kExistsElem:
-    case NodeKind::kForallElem:
-    case NodeKind::kExistsRegion:
-    case NodeKind::kForallRegion:
-    case NodeKind::kRelationAtom:
-    case NodeKind::kInRegion:
-    case NodeKind::kCompare:
-    case NodeKind::kRbit:
-    case NodeKind::kHull:
-    case NodeKind::kLfp:
-    case NodeKind::kIfp:
-    case NodeKind::kPfp:
-    case NodeKind::kTc:
-    case NodeKind::kDtc:
-      worth = true;
-      break;
-    default:
-      break;
-  }
-  for (const auto& child : node.children) {
-    worth |= ComputeWorthCaching(*child, out);
-  }
-  out->emplace(&node, worth);
-  return worth;
-}
-
 void CollectElementVars(const FormulaNode& node,
                         std::vector<std::string>* out) {
   auto note = [out](const ElementTerm& term) {
@@ -409,7 +376,6 @@ Result<TypeInfo> TypeCheck(const FormulaNode& root,
   LCDB_RETURN_IF_ERROR(checker.Check(root));
   TypeInfo info = checker.TakeInfo();
   CollectElementVars(root, &info.all_element_vars);
-  ComputeWorthCaching(root, &info.worth_caching);
   // Answer column order: free element variables in all_element_vars order
   // (first appearance in the tree), so Evaluate's column dropping preserves
   // exactly this order.

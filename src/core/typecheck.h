@@ -29,17 +29,9 @@ struct TypeInfo {
   /// The root's free element variables in order of first appearance — the
   /// column order of the query answer.
   std::vector<std::string> free_element_order;
-  /// Nodes whose evaluation does real work (contains a quantifier, an
-  /// element-sort atom, or an operator). Only these are worth memoizing;
-  /// caching trees of plain region atoms costs more than recomputing them.
-  std::map<const FormulaNode*, bool> worth_caching;
 
   const FreeVars& of(const FormulaNode& node) const {
     return free.at(&node);
-  }
-
-  bool WorthCaching(const FormulaNode& node) const {
-    return worth_caching.at(&node);
   }
 };
 

@@ -83,15 +83,6 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
       ++stats_.trivial_answers;
       return {true, Vec(canon.num_vars)};
     }
-    if (options_.memoize && lemma_db_ == nullptr) {
-      if (const FeasibilityResult* hit = feasibility_cache_.Lookup(
-              canon.hash, canon.encoding,
-              &stats_.canonicalization_collisions)) {
-        ++stats_.cache_hits;
-        return *hit;
-      }
-      ++stats_.cache_misses;
-    }
   }
   if (lemma_db_ != nullptr) {
     // The lemma DB takes its own lock; never nested under mu_.
@@ -120,10 +111,6 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
     ++stats_.oracle_calls;
     stats_.simplex_invocations += after.invocations - before.invocations;
     stats_.simplex_pivots += after.pivots - before.pivots;
-    if (options_.memoize && lemma_db_ == nullptr) {
-      feasibility_cache_.Insert(canon.hash, canon.encoding, result,
-                                &stats_.cache_evictions);
-    }
   }
   if (lemma_db_ != nullptr) {
     // The solve cost drives the tier: expensive proofs and infeasible
@@ -157,15 +144,6 @@ bool ConstraintKernel::DecideConsistentWithNegation(
   key.push_back('!');
   AppendAtomEncoding(atom, &key);
   const uint64_t hash = StableHash64(key);
-  if (options_.memoize && lemma_db_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const bool* hit = implication_cache_.Lookup(
-            hash, key, &stats_.canonicalization_collisions)) {
-      ++stats_.implication_cache_hits;
-      return *hit;
-    }
-    ++stats_.implication_cache_misses;
-  }
   if (lemma_db_ != nullptr) {
     std::optional<bool> hit = lemma_db_->LookupImplication(hash, key);
     std::lock_guard<std::mutex> lock(mu_);
@@ -188,11 +166,6 @@ bool ConstraintKernel::DecideConsistentWithNegation(
       consistent = true;
       break;
     }
-  }
-  if (options_.memoize && lemma_db_ == nullptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    implication_cache_.Insert(hash, std::move(key), consistent,
-                              &stats_.cache_evictions);
   }
   if (lemma_db_ != nullptr) {
     // A proved implication (consistent == false) is pinned core inside the
@@ -229,9 +202,9 @@ KernelStats ConstraintKernel::stats() const {
     out.lemma_invalidations = d.invalidations;
     out.lemma_decays = d.decays;
     out.lemma_occupancy = lemma_db_->size();
-    // The aggregate counters keep their backend-independent meaning.
-    out.cache_evictions += d.evictions_total();
-    out.canonicalization_collisions += d.collisions;
+    // The aggregate counters read the store's totals.
+    out.cache_evictions = d.evictions_total();
+    out.canonicalization_collisions = d.collisions;
   }
   return out;
 }
@@ -243,11 +216,6 @@ void ConstraintKernel::ResetStats() {
 }
 
 void ConstraintKernel::ClearCache() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    feasibility_cache_.Clear();
-    implication_cache_.Clear();
-  }
   if (lemma_db_ != nullptr) lemma_db_->Clear();
   // The epoch move is what lets the VM's inline caches observe the clear
   // (satellite contract: a cleared kernel never serves a stale icache hit).

@@ -28,19 +28,19 @@ struct KernelStats {
   /// Lookups that found entries with the same 64-bit hash but a different
   /// canonical encoding (resolved exactly by the encoding comparison).
   uint64_t canonicalization_collisions = 0;
-  /// Entries dropped by the LRU bound.
+  /// Entries dropped by the occupancy bound (lemma evictions, all tiers).
   uint64_t cache_evictions = 0;
   /// MaximizeLp calls and tableau pivots spent on this kernel's oracle
   /// calls (deltas of the process-wide simplex counters).
   uint64_t simplex_invocations = 0;
   uint64_t simplex_pivots = 0;
 
-  /// Lemma-database family (engine/lemma_db.h) — populated when the kernel
-  /// delegates its caches to an activity-managed lemma store, all zero
-  /// under the legacy LRU backend. Hits/misses count lemma lookups (the
-  /// union of the feasibility and implication keyspaces); evictions are
-  /// split by the quality tier of the dropped lemma; invalidations count
-  /// lemmas dropped through per-disjunct occurrence lists.
+  /// Lemma-database family (engine/lemma_db.h) — the memoizing kernel's
+  /// activity-managed lemma store; all zero under memoize off. Hits/misses
+  /// count lemma lookups (the union of the feasibility and implication
+  /// keyspaces); evictions are split by the quality tier of the dropped
+  /// lemma; invalidations count lemmas dropped through per-disjunct
+  /// occurrence lists.
   uint64_t lemma_hits = 0;
   uint64_t lemma_misses = 0;
   uint64_t lemma_insertions = 0;

@@ -65,9 +65,9 @@ struct LemmaDbStats {
   }
 };
 
-/// Cross-query, activity-managed store of kernel lemmas — the CDCL-style
-/// replacement for the kernel's per-instance LRU caches (in the style of
-/// QBF/SAT learnt-constraint databases: score by activity with periodic
+/// Cross-query, activity-managed store of kernel lemmas — the constraint
+/// kernel's memo, managed CDCL-style (in the style of QBF/SAT
+/// learnt-constraint databases: score by activity with periodic
 /// decay, bump on use, evict by quality tier, keep occurrence lists for
 /// targeted invalidation).
 ///
@@ -88,7 +88,7 @@ struct LemmaDbStats {
 /// across ScopedKernel scopes, and across kernels (a kernel holds a
 /// shared_ptr; see ConstraintKernel).
 ///
-/// Replacement protocol (vs the old LRU):
+/// Replacement protocol:
 ///  * every hit bumps the lemma's activity by a geometrically growing
 ///    increment — the classic constant-time equivalent of multiplying
 ///    every other lemma's score by `activity_decay` each period;
@@ -116,8 +116,7 @@ class LemmaDatabase {
 
   struct Options {
     /// Occupancy bound over the unified store (feasibility + implication
-    /// lemmas share one pool; the LRU predecessor bounded two separate
-    /// maps — a sanctioned accounting delta, see DESIGN.md).
+    /// lemmas share one pool).
     size_t max_entries = 1u << 18;
     /// Multiplicative decay applied to all activities each period
     /// (implemented as growth of the bump increment).

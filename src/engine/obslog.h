@@ -43,17 +43,17 @@ uint64_t ObsNowNs();
 struct QueryRecord {
   uint64_t sequence = 0;    ///< assigned by QueryFlightRecorder::Append
   uint64_t query_hash = 0;  ///< StableHash64 of the query source text
-  std::string backend;      ///< "vm" | "tree" | "legacy"
+  std::string backend;      ///< "vm" | "tree" | "none" (no attempt ran)
   uint64_t plan_fingerprint = 0;  ///< StableHash64 of the printed plan
 
   // Per-phase wall-clock, nanoseconds. Phases mirror the tracer's span
-  // names; zero means the phase did not run (e.g. plan.* under the legacy
-  // walk, execute after an analysis rejection).
+  // names; zero means the phase did not run (e.g. execute after an analysis
+  // rejection).
   uint64_t typecheck_ns = 0;
   uint64_t analyze_ns = 0;
   uint64_t plan_build_ns = 0;
   uint64_t plan_optimize_ns = 0;  ///< optimizer passes + tier-2 cost pass
-  uint64_t execute_ns = 0;        ///< plan.execute or the legacy walk
+  uint64_t execute_ns = 0;        ///< plan.execute, tree executor or VM
   uint64_t total_ns = 0;
 
   // Governor consumption of the attempt (zeros when ungoverned).

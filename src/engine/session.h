@@ -27,7 +27,7 @@ namespace lcdb {
 
 /// One rung dropped by the degradation ladder, for the log the tests pin.
 struct DegradationStep {
-  std::string rung;    ///< "vm->tree", "lemma->lru", "memoize->off", ...
+  std::string rung;    ///< "vm->tree", "memoize->off", "trace->off"
   size_t attempt = 0;  ///< attempt index (0-based) whose failure dropped it
 };
 
@@ -100,8 +100,8 @@ struct SessionStats {
 ///    core/resume.h). A *second* consecutive resource failure at the same
 ///    rung also drops a rung: the backend itself may be the problem.
 ///  * kFault failures (internal/unsupported) drop one ladder rung and
-///    retry. The rung order is fixed: bytecode VM -> plan-tree walk, lemma
-///    database -> plain LRU, kernel memoization -> off, tracing -> off.
+///    retry. The rung order is fixed: bytecode VM -> plan-tree walk, kernel
+///    memoization -> off, tracing -> off.
 ///    Checkpoints survive the vm->tree drop by design.
 ///  * kInvalid and kCancelled never retry.
 ///

@@ -96,7 +96,7 @@ DnfFormula PlanExecutor::Run() {
   } catch (...) {
     // This executor dies with the unwind, so completed fixpoint/closure
     // entries must be harvested into the ambient resume collector here —
-    // the Evaluate boundary only sees the evaluator's own (legacy) caches.
+    // the Evaluate boundary never sees the executor's caches.
     HarvestResumeState();
     throw;
   }
@@ -356,7 +356,7 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
     case PlanOp::kNonEmpty:
       // Element-sort subtree in a boolean context: all element variables
       // inside are bound, so the child's formula is constant — test
-      // emptiness, exactly as the legacy EvalBool fallthrough.
+      // emptiness.
       return !Eval(*node.children[0], renv, senv).IsEmpty();
     default:
       LCDB_CHECK_MSG(false, "symbolic operator in boolean context");

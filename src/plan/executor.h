@@ -17,9 +17,10 @@ namespace lcdb {
 /// DnfFormula algebra, quantifier elimination and the constraint kernel;
 /// the planner and optimizer only build and rewrite the operator DAG.
 ///
-/// Its recursion reproduces the legacy Evaluator's algebra step for step
-/// (same short-circuits, same accumulation order), so a plan executed
-/// without optimization yields byte-identical answer formulas. Caching
+/// Its recursion fixes the algebra's short-circuits and accumulation order,
+/// so the answer formula is a pure function of the plan: the raw plan, the
+/// optimized plan and the bytecode VM (plan/vm.h) all reproduce the pinned
+/// golden answers (tests/golden/) byte for byte. Caching
 /// follows each node's CachePolicy — assigned by the optimizer's
 /// MarkCacheable pass — keyed by the values of the node's free region
 /// variables plus the stage versions of its free set variables.
@@ -69,8 +70,7 @@ class PlanExecutor {
   bool EvalRbit(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
   /// Deposits completed fixpoint/closure cache entries into the ambient
   /// ResumeCollector (core/resume.h). Called from Run's unwind path: the
-  /// executor's caches are stack-local and die with the interrupt, unlike
-  /// the legacy walk's evaluator-member caches.
+  /// executor's caches are stack-local and die with the interrupt.
   void HarvestResumeState();
   const TupleSet& FixpointSet(const PlanNode& node);
   const std::vector<std::vector<bool>>& ClosureMatrix(const PlanNode& node);

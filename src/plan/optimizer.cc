@@ -127,11 +127,11 @@ class Optimizer {
 
   // ---- Pass 1: constant folding / dead-branch pruning. ----
   //
-  // Folds use the exact algebra the executor (and the legacy walk) would
-  // apply, so every fold is representation-identical, not merely
-  // equivalent. DnfFormula::And/Or/Negate consult the kernel's feasibility
-  // oracle internally — an infeasible branch folds to the canonical
-  // False(m) here, at compile time, and its siblings are pruned.
+  // Folds use the exact algebra the executor would apply, so every fold is
+  // representation-identical, not merely equivalent. DnfFormula::And/Or/
+  // Negate consult the kernel's feasibility oracle internally — an
+  // infeasible branch folds to the canonical False(m) here, at compile
+  // time, and its siblings are pruned.
 
   PlanPtr Fold(PlanPtr node) {
     for (PlanPtr& child : node->children) child = Fold(std::move(child));
@@ -585,7 +585,7 @@ class Optimizer {
     return key;
   }
 
-  // ---- Pass 7: caching decisions (replaces the legacy memo check). ----
+  // ---- Pass 7: caching decisions. ----
 
   void MarkCacheable(PlanNode* node) {
     if (!mark_seen_.insert(node).second) return;

@@ -29,8 +29,8 @@ namespace lcdb {
 ///     hash-consed into shared nodes, pooling their executor caches.
 ///  7. MarkCacheable — set-variable-independent subplans are marked for
 ///     per-region-key caching, hoisting them out of fixpoint iteration.
-///     This pass *replaces* the legacy evaluator's ad-hoc memoization
-///     check; with the pipeline disabled no subformula caching happens.
+///     This pass is the only memoization decision; with the pipeline
+///     disabled no subformula caching happens.
 void OptimizePlan(CompiledPlan* plan, PlanPassStats* stats);
 
 }  // namespace lcdb

@@ -119,8 +119,7 @@ void DeriveAnnotations(PlanNode* node, size_t num_regions) {
       pure = node->const_formula->IsSyntacticallyTrue() ||
              node->const_formula->IsSyntacticallyFalse();
       // A non-trivial constant (compare / relation atom) is the lowering of
-      // an element-sort atom — worth a cache slot, like the legacy walk's
-      // WorthCaching marks for kCompare / kRelationAtom.
+      // an element-sort atom — worth a cache slot.
       worth = !pure;
       break;
     case PlanOp::kInRegion:

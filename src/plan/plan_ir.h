@@ -21,10 +21,9 @@ namespace lcdb {
 ///  * *boolean* operators produce a truth value under a region/set
 ///    environment — the mode fixed-point and closure bodies run in.
 ///
-/// The legacy tree-walk evaluator chose between these modes dynamically at
-/// every node; the planner decides once, at compile time, and the optimizer
-/// then rewrites the typed tree (plan/optimizer.h) before the executor
-/// (plan/executor.h) ever touches a DnfFormula.
+/// The planner decides the mode of every node once, at compile time, and
+/// the optimizer then rewrites the typed tree (plan/optimizer.h) before the
+/// executor (plan/executor.h) ever touches a DnfFormula.
 enum class PlanOp {
   // ---- Symbolic operators (result: DnfFormula over num_columns vars).
   kConstFormula,   ///< precomputed formula: true/false/compare/relation atoms
@@ -105,7 +104,8 @@ struct PlanNode {
   /// boolean mode without changing the answer formula byte-for-byte.
   bool region_pure = false;
   /// Subtree does enough work (quantifier, element atom, operator) to repay
-  /// a cache lookup — the planner's copy of the legacy WorthCaching bit.
+  /// a cache lookup; caching trees of plain region atoms costs more than
+  /// recomputing them.
   bool worth_caching = false;
   CachePolicy cache = CachePolicy::kNone;
   /// Estimated region-sort fan-out: iterations this node's loop performs

@@ -32,8 +32,7 @@ struct PlanPassStats {
   size_t reordered_conjuncts = 0;
   /// Structurally identical subplans merged by common-subplan elimination.
   size_t cse_merged = 0;
-  /// Nodes the hoisting pass marked cacheable (replaces the legacy
-  /// evaluator's ad-hoc WorthCaching/MemoKey test).
+  /// Nodes the hoisting pass marked cacheable.
   size_t cacheable_marked = 0;
 
   std::string ToString() const {

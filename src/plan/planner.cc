@@ -197,7 +197,7 @@ class Planner {
       case NodeKind::kExistsElem:
       case NodeKind::kForallElem: {
         // Element-sort subtree in a boolean context: evaluate symbolically
-        // and test emptiness, exactly as the legacy EvalBool fallthrough.
+        // and test emptiness.
         PlanPtr out = Make(PlanOp::kNonEmpty, node);
         out->children.push_back(Lower(node));
         return Finish(std::move(out));

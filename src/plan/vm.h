@@ -29,7 +29,7 @@ class QueryTracer;
 /// (kNonEmpty emptiness tests, the rBIT implication) carry per-site inline
 /// caches — a verdict slot keyed by the full canonical encoding of the
 /// queried system and owned by the kernel it was filled against. A hit
-/// skips the kernel entirely (no lock, no LRU touch); a kernel swap
+/// skips the kernel entirely (no lock, no lemma lookup); a kernel swap
 /// (ScopedKernel) invalidates on first touch; formulas wider than
 /// kIcacheMaxDisjuncts bypass the cache so fingerprinting can never cost
 /// more than the short-circuiting oracle walk it replaces. Hit/miss/

@@ -84,14 +84,14 @@ TEST(FailpointTest, ArrangementSplitFiresAtBuildTime) {
 /// injected code, disarm, and confirm the surviving evaluator's answer is
 /// byte-identical to a fresh evaluator's.
 void InjectAndRecover(const std::string& site, const std::string& query_text,
-                      bool use_plan) {
+                      bool use_bytecode) {
   FailpointGuard guard;
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed = ParseQuery(query_text, db.relation_name());
   ASSERT_TRUE(parsed.ok()) << query_text;
   Evaluator::Options options;
-  options.use_plan = use_plan;
+  options.use_bytecode = use_bytecode;
 
   // A fresh kernel isolates this cell from cross-test cache state: the
   // injected unwind crosses *this* kernel's caches, and the byte-identical
@@ -104,7 +104,7 @@ void InjectAndRecover(const std::string& site, const std::string& query_text,
   auto killed = survivor.Evaluate(**parsed);
   DisarmFailpoint(site);
   ASSERT_FALSE(killed.ok())
-      << site << " (use_plan=" << use_plan << ") did not fire";
+      << site << " (use_bytecode=" << use_bytecode << ") did not fire";
   EXPECT_EQ(killed.status().code(), StatusCode::kInternal) << site;
   EXPECT_NE(killed.status().message().find(site), std::string::npos);
   EXPECT_GE(FailpointHitCount(site), 1u) << site;
@@ -115,58 +115,59 @@ void InjectAndRecover(const std::string& site, const std::string& query_text,
   auto reference = fresh.Evaluate(**parsed);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(after->ToString(), reference->ToString())
-      << site << " (use_plan=" << use_plan << ")";
+      << site << " (use_bytecode=" << use_bytecode << ")";
 }
 
 // conn exercises kernel decisions, QE and the LFP; the TC query exercises
-// closure building. plan.execute exists only on the plan path.
+// closure building. Each site runs on the plan-tree executor (PlanPath) and
+// on the bytecode VM (VmPath).
 
 TEST(FailpointTest, KernelDecidePlanPath) {
-  InjectAndRecover("kernel.decide", "exists x . S(x, y)", true);
-}
-TEST(FailpointTest, KernelDecideLegacyPath) {
   InjectAndRecover("kernel.decide", "exists x . S(x, y)", false);
+}
+TEST(FailpointTest, KernelDecideVmPath) {
+  InjectAndRecover("kernel.decide", "exists x . S(x, y)", true);
 }
 
 TEST(FailpointTest, QeProjectPlanPath) {
-  InjectAndRecover("qe.project", "exists x . S(x, y)", true);
-}
-TEST(FailpointTest, QeProjectLegacyPath) {
   InjectAndRecover("qe.project", "exists x . S(x, y)", false);
+}
+TEST(FailpointTest, QeProjectVmPath) {
+  InjectAndRecover("qe.project", "exists x . S(x, y)", true);
 }
 
 TEST(FailpointTest, FixpointStagePlanPath) {
-  InjectAndRecover("fixpoint.stage", RegionConnQueryText(), true);
-}
-TEST(FailpointTest, FixpointStageLegacyPath) {
   InjectAndRecover("fixpoint.stage", RegionConnQueryText(), false);
+}
+TEST(FailpointTest, FixpointStageVmPath) {
+  InjectAndRecover("fixpoint.stage", RegionConnQueryText(), true);
 }
 
 TEST(FailpointTest, ClosureBuildPlanPath) {
   InjectAndRecover("closure.build",
-                   "exists A B . ([tc R ; R' : adj(R, R')](A ; B))", true);
-}
-TEST(FailpointTest, ClosureBuildLegacyPath) {
-  InjectAndRecover("closure.build",
                    "exists A B . ([tc R ; R' : adj(R, R')](A ; B))", false);
+}
+TEST(FailpointTest, ClosureBuildVmPath) {
+  InjectAndRecover("closure.build",
+                   "exists A B . ([tc R ; R' : adj(R, R')](A ; B))", true);
 }
 
 TEST(FailpointTest, PlanExecutePlanPath) {
-  InjectAndRecover("plan.execute", RegionConnQueryText(), true);
+  InjectAndRecover("plan.execute", RegionConnQueryText(), false);
 }
 
 TEST(FailpointTest, MidFixpointInjectionLeavesCachesConsistent) {
   // Sharper variant of the matrix: die on the *third* Kleene stage, deep
   // inside the LFP, with the shared default kernel already warm — the next
   // evaluation must still be byte-identical to a fresh evaluator's.
-  for (bool use_plan : {true, false}) {
+  for (bool use_bytecode : {false, true}) {
     FailpointGuard guard;
     ConstraintDatabase db = MakeComb(2, true);
     auto ext = MakeArrangementExtension(db);
     auto parsed = ParseQuery(RegionConnQueryText(), db.relation_name());
     ASSERT_TRUE(parsed.ok());
     Evaluator::Options options;
-    options.use_plan = use_plan;
+    options.use_bytecode = use_bytecode;
     Evaluator survivor(*ext, options);
     ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "mid-fixpoint",
                  /*skip_hits=*/2);
@@ -179,7 +180,7 @@ TEST(FailpointTest, MidFixpointInjectionLeavesCachesConsistent) {
     auto reference = fresh.Evaluate(**parsed);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(after->ToString(), reference->ToString())
-        << "use_plan=" << use_plan;
+        << "use_bytecode=" << use_bytecode;
   }
 }
 

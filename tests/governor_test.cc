@@ -103,12 +103,12 @@ TEST(GovernorTest, FixpointIterationBudgetTrips) {
   auto ext = MakeArrangementExtension(db);
   GovernorLimits limits;
   limits.max_fixpoint_iterations = 1;  // conn's LFP needs several stages
-  for (bool use_plan : {true, false}) {
+  for (bool use_bytecode : {false, true}) {
     Evaluator::Options options;
-    options.use_plan = use_plan;
+    options.use_bytecode = use_bytecode;
     Status s = GovernedStatus(*ext, RegionConnQueryText(), limits, options);
     EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
-        << "use_plan=" << use_plan << ": " << s.ToString();
+        << "use_bytecode=" << use_bytecode << ": " << s.ToString();
     EXPECT_NE(s.message().find("fixpoint"), std::string::npos);
   }
 }
@@ -118,12 +118,12 @@ TEST(GovernorTest, TupleSpaceBudgetTrips) {
   auto ext = MakeArrangementExtension(db);
   GovernorLimits limits;
   limits.max_tuple_space = 10;  // 63^2 pairs in conn's LFP
-  for (bool use_plan : {true, false}) {
+  for (bool use_bytecode : {false, true}) {
     Evaluator::Options options;
-    options.use_plan = use_plan;
+    options.use_bytecode = use_bytecode;
     Status s = GovernedStatus(*ext, RegionConnQueryText(), limits, options);
     EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
-        << "use_plan=" << use_plan << ": " << s.ToString();
+        << "use_bytecode=" << use_bytecode << ": " << s.ToString();
     EXPECT_NE(s.message().find("tuple space"), std::string::npos);
   }
 }
@@ -196,13 +196,13 @@ TEST(GovernorTest, StatsNameTheTrippedBudget) {
 /// The robustness contract: kill a query mid-fixpoint, then answer the same
 /// query on the *same* evaluator without a budget and require the result to
 /// be byte-identical to a fresh evaluator's.
-void PostTripReuseIsByteIdentical(bool use_plan) {
+void PostTripReuseIsByteIdentical(bool use_bytecode) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed = ParseQuery(RegionConnQueryText(), db.relation_name());
   ASSERT_TRUE(parsed.ok());
   Evaluator::Options options;
-  options.use_plan = use_plan;
+  options.use_bytecode = use_bytecode;
 
   Evaluator survivor(*ext, options);
   {
@@ -224,26 +224,26 @@ void PostTripReuseIsByteIdentical(bool use_plan) {
 }
 
 TEST(GovernorTest, PostTripReuseIsByteIdenticalPlanPath) {
-  PostTripReuseIsByteIdentical(/*use_plan=*/true);
+  PostTripReuseIsByteIdentical(/*use_bytecode=*/false);
 }
 
-TEST(GovernorTest, PostTripReuseIsByteIdenticalLegacyPath) {
-  PostTripReuseIsByteIdentical(/*use_plan=*/false);
+TEST(GovernorTest, PostTripReuseIsByteIdenticalVmPath) {
+  PostTripReuseIsByteIdentical(/*use_bytecode=*/true);
 }
 
 TEST(GovernorTest, TupleSpaceOptionStillAStatus) {
   // The evaluator's own Options::max_tuple_space cap (no governor at all)
-  // reports kResourceExhausted instead of crashing — legacy and plan path.
+  // reports kResourceExhausted instead of crashing — tree and VM backend.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  for (bool use_plan : {true, false}) {
+  for (bool use_bytecode : {false, true}) {
     Evaluator::Options tiny;
-    tiny.use_plan = use_plan;
+    tiny.use_bytecode = use_bytecode;
     tiny.max_tuple_space = 100;
     auto r = EvaluateSentenceText(*ext, RegionConnQueryText(), tiny);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-        << "use_plan=" << use_plan;
+        << "use_bytecode=" << use_bytecode;
   }
 }
 
@@ -317,13 +317,13 @@ TEST(GovernorTest, DivergentPfpStillConvergesUnderHashDetection) {
   // the hash hit's replay verification must not change that.
   ConstraintDatabase db = Db1ForPfp();
   auto ext = MakeArrangementExtension(db);
-  for (bool use_plan : {true, false}) {
+  for (bool use_bytecode : {false, true}) {
     Evaluator::Options options;
-    options.use_plan = use_plan;
+    options.use_bytecode = use_bytecode;
     auto r = EvaluateSentenceText(
         *ext, "exists A . [pfp M R : !(M(R))](A)", options);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(*r) << "use_plan=" << use_plan;
+    EXPECT_FALSE(*r) << "use_bytecode=" << use_bytecode;
   }
 }
 

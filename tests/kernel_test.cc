@@ -128,6 +128,10 @@ TEST(KernelTest, MemoizeOffAlwaysPaysOracle) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.oracle_calls, 2u);
   EXPECT_GE(stats.simplex_invocations, 2u);
+  // Without memoization there is no lemma store, so its counters stay zero.
+  EXPECT_EQ(kernel.lemma_db(), nullptr);
+  EXPECT_EQ(stats.lemma_hits, 0u);
+  EXPECT_EQ(stats.lemma_insertions, 0u);
 }
 
 TEST(KernelTest, TrivialAnswersSkipOracle) {

@@ -253,23 +253,6 @@ TEST(KernelLemmaTest, ClearCacheDropsLemmasAndMovesEpoch) {
   EXPECT_EQ(kernel.lemma_db()->size(), 1u);
 }
 
-TEST(KernelLemmaTest, LruBackendKeepsLemmaCountersZero) {
-  ConstraintKernel::Options options;
-  options.use_lemma_db = false;
-  ConstraintKernel kernel(options);
-  EXPECT_EQ(kernel.lemma_db(), nullptr);
-  // Parse outside the scope: DNF construction prunes through the ambient
-  // kernel and would otherwise inflate this kernel's counters.
-  const Conjunction conj = ParseConj("x >= 0 & x <= 1");
-  ScopedKernel scope(kernel);
-  CurrentKernel().IsFeasible(conj);
-  CurrentKernel().IsFeasible(conj);
-  const KernelStats s = kernel.stats();
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.lemma_hits, 0u);
-  EXPECT_EQ(s.lemma_insertions, 0u);
-}
-
 TEST(KernelLemmaTest, SecondEvaluateHitsLemmasAndInvalidationIsExact) {
   // Two well-separated disjuncts; the query's constraint work touches both.
   DnfFormula rep(1, {Interval(0, 1), Interval(5, 6)});

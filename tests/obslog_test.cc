@@ -187,6 +187,41 @@ TEST(ObsLogTest, EvaluatorAppendsOneRecordPerCall) {
   EXPECT_EQ(r2.plan_fingerprint, 0u);
 }
 
+TEST(ObsLogTest, BytecodeWithoutOptimizerRejectionAppendsOneRecord) {
+  // use_bytecode && !optimize is rejected before typecheck; that exit path
+  // must still append exactly one record, naming the backend it rejected.
+  auto ext = TinyExtension();
+  QueryFlightRecorder recorder;
+  ScopedFlightRecorder scoped(recorder);
+  auto parsed = ParseQuery("exists x . (S(x) & x > 2)", "S");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Evaluator::Options options;
+  options.use_bytecode = true;
+  options.optimize = false;
+  Evaluator evaluator(*ext, options);
+  auto rejected = evaluator.Evaluate(**parsed);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(recorder.appended(), 1u);
+  const QueryRecord r = recorder.Tail(1)[0];
+  EXPECT_EQ(r.backend, "vm");
+  EXPECT_EQ(r.outcome, "invalid");
+  EXPECT_EQ(r.status_code, "invalid_argument");
+  EXPECT_EQ(r.plan_fingerprint, 0u);
+
+  // Under a QuerySession the attempt's own record stands; the session does
+  // not synthesize a backend "none" record beside it.
+  SessionOptions session_options;
+  session_options.eval = options;
+  QuerySession session(*ext, session_options);
+  ASSERT_FALSE(session.Evaluate("exists x . (S(x) & x > 2)").ok());
+  ASSERT_EQ(recorder.appended(), 2u);
+  const QueryRecord s = recorder.Tail(1)[0];
+  EXPECT_EQ(s.backend, "vm");
+  EXPECT_EQ(s.outcome, "invalid");
+  EXPECT_EQ(s.status_code, "invalid_argument");
+}
+
 TEST(ObsLogTest, TraceSpansDroppedIsExported) {
   auto ext = TinyExtension();
   // Even this small query begins a few dozen spans (typecheck, analyze,

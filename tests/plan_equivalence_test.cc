@@ -1,7 +1,6 @@
 // Equivalence harness for the compile -> optimize -> execute pipeline: every
 // seed database in data/ and every canned query from core/queries.h must
 // produce *byte-identical* QueryAnswer formulas through
-//   (0) the legacy single-pass tree walk (use_plan = false),
 //   (a) the raw plan (optimize = false),
 //   (b) the optimized plan (optimize = true), and
 //   (c) the bytecode VM over the optimized plan (use_bytecode = true),
@@ -42,19 +41,16 @@ ConstraintDatabase Load(const std::string& name) {
 /// An evaluation mode of the sweep.
 struct Mode {
   const char* name;
-  bool use_plan;
   bool optimize;
   bool use_bytecode;
 };
-constexpr Mode kLegacy{"legacy walk", false, true, false};
-constexpr Mode kRaw{"raw plan", true, false, false};
-constexpr Mode kOptimized{"optimized plan", true, true, false};
-constexpr Mode kVm{"bytecode VM", true, true, true};
+constexpr Mode kRaw{"raw plan", false, false};
+constexpr Mode kOptimized{"optimized plan", true, false};
+constexpr Mode kVm{"bytecode VM", true, true};
 
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       const Mode& mode, bool memoize = true) {
   Evaluator::Options options;
-  options.use_plan = mode.use_plan;
   options.optimize = mode.optimize;
   options.use_bytecode = mode.use_bytecode;
   options.memoize = memoize;
@@ -77,7 +73,6 @@ void ExpectModesMatchGolden(const std::string& instance,
     ExpectGoldenAnswer(instance, text, AnswerVia(ext, **query, mode),
                        mode.name);
   };
-  expect(kLegacy);
   if (check_raw) expect(kRaw);
   expect(kOptimized);
   expect(kVm);
@@ -185,7 +180,7 @@ TEST(PlanEquivalenceTest, MemoizationOffAgrees) {
   const std::string text = RegionConnQueryText();
   auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok());
-  for (const Mode& mode : {kLegacy, kOptimized, kVm}) {
+  for (const Mode& mode : {kOptimized, kVm}) {
     ExpectGoldenAnswer(kComb2, text,
                        AnswerVia(*ext, **query, mode, /*memoize=*/false),
                        std::string(mode.name) + " (memoize off)");
@@ -199,8 +194,7 @@ TEST(PlanEquivalenceTest, KernelBackendSweep) {
   // query set. Lemma truth is a pure function of the canonical encoding, so
   // the backend can only change hit rates — this sweep is the executable
   // form of that contract.
-  for (int backend : {0, 1, 2}) {  // 2: the LRU backend
-    const bool memoize = backend != 1;
+  for (bool memoize : {true, false}) {
     SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
     for (const std::string& name : DataFileNames()) {
       SCOPED_TRACE(name);
@@ -211,7 +205,6 @@ TEST(PlanEquivalenceTest, KernelBackendSweep) {
         ASSERT_TRUE(query.ok()) << query.status().ToString();
         ConstraintKernel::Options kernel_options;
         kernel_options.memoize = memoize;
-        kernel_options.use_lemma_db = backend != 2;
         ConstraintKernel kernel(kernel_options);
         ScopedKernel scope(kernel);
         for (const Mode& mode : {kOptimized, kVm}) {

@@ -223,14 +223,14 @@ TEST(TraceTest, CountersReachTheJsonArgs) {
 
 /// Installing a tracer must never change what a query returns — on either
 /// execution path. (The tracer only observes; results stay byte-identical.)
-void TracedResultsAreByteIdentical(bool use_plan) {
+void TracedResultsAreByteIdentical(bool use_bytecode) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed =
       ParseQuery("exists x . S(x, y)", db.relation_name());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Evaluator::Options options;
-  options.use_plan = use_plan;
+  options.use_bytecode = use_bytecode;
 
   std::string untraced;
   {
@@ -253,15 +253,15 @@ void TracedResultsAreByteIdentical(bool use_plan) {
     traced = r->ToString();
     EXPECT_GT(tracer.spans_retained(), 0u);
   }
-  EXPECT_EQ(untraced, traced) << "use_plan=" << use_plan;
+  EXPECT_EQ(untraced, traced) << "use_bytecode=" << use_bytecode;
 }
 
 TEST(TraceTest, TracedResultsAreByteIdenticalPlanPath) {
-  TracedResultsAreByteIdentical(/*use_plan=*/true);
+  TracedResultsAreByteIdentical(/*use_bytecode=*/false);
 }
 
-TEST(TraceTest, TracedResultsAreByteIdenticalLegacyPath) {
-  TracedResultsAreByteIdentical(/*use_plan=*/false);
+TEST(TraceTest, TracedResultsAreByteIdenticalVmPath) {
+  TracedResultsAreByteIdentical(/*use_bytecode=*/true);
 }
 
 }  // namespace

@@ -408,5 +408,27 @@ TEST(VmTest, PlanCostStatsExported) {
   EXPECT_NE(explain->find("-- cost: nodes="), std::string::npos);
 }
 
+TEST(VmTest, ExplainBytecodeRefreshesPlanCost) {
+  // ExplainBytecode runs the same compile phases as Evaluate, cost pass
+  // included, so stats().plan_cost describes its own query — never the
+  // previous compile's.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto big = ParseQuery(RegionConnQueryText(), db.relation_name());
+  auto small = ParseQuery("exists R . subset(R)", db.relation_name());
+  ASSERT_TRUE(big.ok() && small.ok());
+  Evaluator reference(*ext, VmOptions());
+  ASSERT_TRUE(reference.Evaluate(**small).ok());
+  const PlanCostStats expected = reference.stats().plan_cost;
+
+  Evaluator evaluator(*ext, VmOptions());
+  ASSERT_TRUE(evaluator.Evaluate(**big).ok());
+  ASSERT_NE(evaluator.stats().plan_cost.nodes, expected.nodes);
+  ASSERT_TRUE(evaluator.ExplainBytecode(**small).ok());
+  EXPECT_EQ(evaluator.stats().plan_cost.nodes, expected.nodes);
+  EXPECT_EQ(evaluator.stats().plan_cost.total_bigint_ops,
+            expected.total_bigint_ops);
+}
+
 }  // namespace
 }  // namespace lcdb
