@@ -1,6 +1,7 @@
 // Equivalence harness for the compile -> optimize -> execute pipeline: every
-// seed database in data/ and every canned query from core/queries.h must
-// produce *byte-identical* QueryAnswer formulas through
+// seed database in data/, under both the arrangement and the decomposition
+// extension, and every canned query from core/queries.h must produce
+// *byte-identical* QueryAnswer formulas through
 //   (a) the raw plan (optimize = false),
 //   (b) the optimized plan (optimize = true), and
 //   (c) the bytecode VM over the optimized plan (use_bytecode = true),
@@ -117,6 +118,22 @@ TEST(PlanEquivalenceTest, DataFiles) {
     auto ext = MakeArrangementExtension(db);
     for (const std::string& text : QueriesForArity(db.arity())) {
       ExpectModesMatchGolden(InstanceOf(name), *ext, text);
+    }
+  }
+}
+
+TEST(PlanEquivalenceTest, DecompositionDataFiles) {
+  // The same sweep over the Section 7 decomposition extension, whose
+  // regions overlap and whose adj / subset are lazy LP decisions: TC, DTC
+  // and adjacency run through different base relations here than on an
+  // arrangement. Pinned as instance "<file>_decomp".
+  for (const std::string& name : DataFileNames()) {
+    SCOPED_TRACE(name);
+    ConstraintDatabase db = Load(name);
+    auto ext = BuildDecompositionExtension(db);
+    ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    for (const std::string& text : QueriesForArity(db.arity())) {
+      ExpectModesMatchGolden(InstanceOf(name) + "_decomp", **ext, text);
     }
   }
 }
