@@ -360,8 +360,10 @@ int64_t BigInt::ToInt64() const {
   for (size_t i = limbs_.size(); i-- > 0;) {
     magnitude = (magnitude << 32) | limbs_[i];
   }
-  return negative_ ? -static_cast<int64_t>(magnitude)
-                   : static_cast<int64_t>(magnitude);
+  // Negate in uint64_t: the magnitude of INT64_MIN (2^63) has no signed
+  // negation, but its two's complement converts to INT64_MIN exactly.
+  return static_cast<int64_t>(negative_ ? uint64_t{0} - magnitude
+                                        : magnitude);
 }
 
 std::string BigInt::ToString() const {

@@ -374,9 +374,9 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
       return compiled;
     }
     if (recorder != nullptr) {
-      // The plan fingerprint hashes the final printed plan, so two records
+      // The plan fingerprint hashes the final plan DAG, so two records
       // agree exactly when their executions ran the same plan.
-      record.plan_fingerprint = StableHash64(PrintPlan(plan));
+      record.plan_fingerprint = PlanFingerprint(plan);
     }
     if (plan_out != nullptr) *plan_out = plan;
     if (resume_collector.has_value()) {
@@ -554,6 +554,7 @@ MetricsSnapshot Evaluator::Stats::ToMetrics() const {
   MetricsRegistry registry;
   registry.Count("evaluator.node_evaluations", node_evaluations);
   registry.Count("evaluator.bool_evaluations", bool_evaluations);
+  registry.Count("evaluator.relation_word_ops", relation_word_ops);
   registry.Count("evaluator.memo_hits", memo_hits);
   registry.Count("evaluator.fixpoint_iterations", fixpoint_iterations);
   registry.Count("evaluator.fixpoints_computed", fixpoints_computed);

@@ -102,7 +102,13 @@ class Evaluator {
 
   struct Stats {
     size_t node_evaluations = 0;
+    /// Per-binding boolean evaluations: the leaf fills of the relation
+    /// module (plan/relation_eval.h) on the tree executor, every boolean
+    /// node visit on the VM.
     size_t bool_evaluations = 0;
+    /// 64-bit word operations of set-at-a-time relation evaluation (tree
+    /// executor only): the unit its fixpoint and closure work is paid in.
+    size_t relation_word_ops = 0;
     size_t memo_hits = 0;
     size_t fixpoint_iterations = 0;
     size_t fixpoints_computed = 0;

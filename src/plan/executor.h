@@ -2,13 +2,13 @@
 #define LCDB_PLAN_EXECUTOR_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.h"
 #include "db/region_extension.h"
 #include "plan/plan_ir.h"
+#include "plan/relation_eval.h"
 
 namespace lcdb {
 
@@ -20,10 +20,14 @@ namespace lcdb {
 /// Its recursion fixes the algebra's short-circuits and accumulation order,
 /// so the answer formula is a pure function of the plan: the raw plan, the
 /// optimized plan and the bytecode VM (plan/vm.h) all reproduce the pinned
-/// golden answers (tests/golden/) byte for byte. Caching
-/// follows each node's CachePolicy — assigned by the optimizer's
-/// MarkCacheable pass — keyed by the values of the node's free region
-/// variables plus the stage versions of its free set variables.
+/// golden answers (tests/golden/) byte for byte. Caching of symbolic nodes
+/// and of leaf bindings follows each node's CachePolicy — assigned by the
+/// optimizer's MarkCacheable pass — keyed by the values of the node's free
+/// region variables plus the stage versions of its free set variables.
+///
+/// Boolean subtrees below lift_bool, and every fixpoint and closure, run
+/// set-at-a-time in the relation module (plan/relation_eval.h); the only
+/// per-binding boolean evaluation left is the filling of its leaves.
 ///
 /// The executor is single-query: construct, call Run() once, read the
 /// updated stats. Expensive operators (QE, region expansion, hull,
@@ -43,38 +47,31 @@ class PlanExecutor {
   /// hits, governor checkpoints and result cardinality into `profile`.
   /// Must be called before Run(); `profile` must outlive the executor.
   /// Profiling perturbs only timings, never results.
-  void EnableProfiling(PlanProfile* profile) { profile_ = profile; }
+  void EnableProfiling(PlanProfile* profile) {
+    profile_ = profile;
+    relations_.EnableProfiling(profile);
+  }
 
  private:
-  using RegionEnv = std::map<std::string, size_t>;
   using Tuple = std::vector<size_t>;
-  using TupleSet = std::set<Tuple>;
-  struct SetBinding {
-    const TupleSet* tuples = nullptr;
-    size_t version = 0;
-  };
-  using SetEnv = std::map<std::string, SetBinding>;
 
-  DnfFormula Eval(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
+  DnfFormula Eval(const PlanNode& node, RegionEnv& renv, const SetEnv& senv);
   DnfFormula EvalUncached(const PlanNode& node, RegionEnv& renv,
-                          SetEnv& senv);
-  bool EvalBool(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
-  bool EvalBoolUncached(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
+                          const SetEnv& senv);
+  /// One binding of a boolean node: the leaf evaluator of the relation
+  /// module (plan/relation_eval.h), recursive over a leaf's subtree.
+  bool EvalBool(const PlanNode& node, RegionEnv& renv, const SetEnv& senv);
+  bool EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
+                        const SetEnv& senv);
 
-  /// Wraps one uncached evaluation with the profile measurements
-  /// (profiling mode only; `rows` extracts the result cardinality).
-  template <typename Fn>
-  auto Profiled(const PlanNode& node, Fn&& eval);
-
-  bool EvalRegionAtom(const PlanNode& node, RegionEnv& renv);
-  bool EvalRbit(const PlanNode& node, RegionEnv& renv, SetEnv& senv);
-  /// Deposits completed fixpoint/closure cache entries into the ambient
+  bool EvalRbit(const PlanNode& node, RegionEnv& renv, const SetEnv& senv);
+  /// Deposits completed fixpoint/closure entries into the ambient
   /// ResumeCollector (core/resume.h). Called from Run's unwind path: the
   /// executor's caches are stack-local and die with the interrupt.
   void HarvestResumeState();
-  const TupleSet& FixpointSet(const PlanNode& node);
-  const std::vector<std::vector<bool>>& ClosureMatrix(const PlanNode& node);
-  size_t TupleIndex(const Tuple& tuple) const;
+  /// Values of `vars` under `renv`, in order.
+  static Tuple Bind(const std::vector<std::string>& vars,
+                    const RegionEnv& renv);
 
   /// Cache key under the node's CachePolicy: free-region values
   /// (name-sorted) then free-set stage versions.
@@ -87,12 +84,11 @@ class PlanExecutor {
   Evaluator::Stats* stats_;
   PlanProfile* profile_ = nullptr;  ///< EXPLAIN ANALYZE sink, usually null
   size_t num_columns_;
+  /// Set-at-a-time evaluation of boolean subtrees, fixpoints and closures.
+  RelationEvaluator relations_;
 
   std::map<const PlanNode*, std::map<Tuple, DnfFormula>> memo_;
   std::map<const PlanNode*, std::map<Tuple, bool>> bool_memo_;
-  std::map<const PlanNode*, TupleSet> fixpoint_cache_;
-  std::map<const PlanNode*, std::vector<std::vector<bool>>> closure_cache_;
-  size_t set_version_counter_ = 0;
 };
 
 }  // namespace lcdb

@@ -16,42 +16,13 @@
 #include "engine/trace.h"
 #include "geometry/convex_closure.h"
 #include "plan/executor.h"
+#include "plan/relation_eval.h"
 #include "qe/fourier_motzkin.h"
 #include "util/failpoint.h"
 #include "util/interrupt.h"
 #include "util/status.h"
 
 namespace lcdb {
-
-namespace {
-
-/// Same shape as the tree executor's ScopedOpTimer (executor.cc): used by
-/// the VM's *native* member-operator engines (fixpoint, closure), whose
-/// RAII unwind behaviour — record partial time, close the span — must match
-/// the tree walk exactly. Bytecode-level kBeginOp/kEndOp brackets are
-/// handled by the explicit op-frame stack instead.
-class ScopedOpTimer {
- public:
-  ScopedOpTimer(OpTimings* timings, PlanOp op)
-      : timings_(timings), op_(op),
-        span_(PlanOpName(op).c_str()),
-        start_(std::chrono::steady_clock::now()) {}
-  ~ScopedOpTimer() {
-    OpTiming& slot = (*timings_)[PlanOpName(op_)];
-    ++slot.count;
-    slot.total_ns += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
-  }
-
- private:
-  OpTimings* timings_;
-  PlanOp op_;
-  TraceSpan span_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace
 
 BytecodeVm::BytecodeVm(const BytecodeProgram& program,
                        const RegionExtension& ext,
@@ -580,10 +551,11 @@ size_t BytecodeVm::TupleIndex(const Tuple& tuple) const {
   return index;
 }
 
-/// Kleene iteration of [LFP/IFP/PFP_{M, X̄} body], the PlanExecutor
-/// algorithm with the boolean body invoked as a proc. Stage-version stamps,
-/// iteration order and failpoint/governor placement are identical, so memo
-/// hit patterns and trip points match the tree walk.
+/// Kleene iteration of [LFP/IFP/PFP_{M, X̄} body] (semantics notes in
+/// plan/relation_eval.h), one binding at a time with the boolean body
+/// invoked as a proc. The stage sequence and the failpoint/governor stage
+/// hooks are those of the tree executor's set-at-a-time loop; the per-
+/// binding memo cadence is the VM's own.
 const BytecodeVm::TupleSet& BytecodeVm::FixpointSet(
     const VmFixpointSite& site, const PlanNode& node) {
   auto cached = fixpoint_cache_.find(&node);
@@ -649,10 +621,14 @@ const BytecodeVm::TupleSet& BytecodeVm::FixpointSet(
 
   TupleSet current;
   size_t iteration = 0;
-  PfpCycleDetector cycle;
+  // Stage hashes are taken over the row-major bit words, as on the tree
+  // executor, so a PFP checkpoint resumes on either backend.
+  PfpCycleDetector<TupleSet> cycle(TupleSet{}, [n, k](const TupleSet& s) {
+    return BitRelation::FromTuples(s, n, k).Hash();
+  });
   if (resume_site != 0) {
     // Continue an interrupted Kleene loop from its last completed stage
-    // (pure in the environment by Definition 5.1; see core/fixpoint.cc).
+    // (pure in the environment by Definition 5.1; see plan/relation_eval.h).
     FixpointResumePoint point;
     if (resume->TakeInProgress(resume_site, &point)) {
       current = std::move(point.approximation);
@@ -703,8 +679,9 @@ const BytecodeVm::TupleSet& BytecodeVm::FixpointSet(
   return fixpoint_cache_.emplace(&node, std::move(current)).first->second;
 }
 
-/// TC/DTC reachability bitmap, the PlanExecutor algorithm with the edge
-/// body invoked as a proc (same per-row failpoint + checkpoint placement).
+/// TC/DTC reachability bitmap (semantics notes in plan/relation_eval.h),
+/// with the edge body invoked as a proc per binding and the closure taken by
+/// BFS (same per-row failpoint + checkpoint placement as the tree executor).
 const std::vector<std::vector<bool>>& BytecodeVm::ClosureMatrix(
     const VmClosureSite& site, const PlanNode& node) {
   auto cached = closure_cache_.find(&node);

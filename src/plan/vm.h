@@ -72,7 +72,7 @@ class BytecodeVm {
     QueryTracer* tracer = nullptr;
   };
   /// One in-flight profiled node evaluation (Enter .. Leave), mirroring
-  /// PlanExecutor::Profiled's before-snapshots.
+  /// ProfiledEval's before-snapshots (plan/relation_eval.h).
   struct ProfileFrame {
     const PlanNode* node = nullptr;
     std::chrono::steady_clock::time_point start;

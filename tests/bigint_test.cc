@@ -223,5 +223,78 @@ TEST_P(BigIntPropertyTest, WideMultiplicationMatchesRepeatedAddition) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
+// Differential sweep against __int128, centred on the inline-int64 <-> limb
+// promotion boundary (|v| = 2^62) and on the int64 range ends (2^63), where
+// ToInt64 must convert INT64_MIN without a signed negation.
+
+std::string Int128ToString(__int128 v) {
+  if (v == 0) return "0";
+  const bool negative = v < 0;
+  unsigned __int128 magnitude =
+      negative ? -static_cast<unsigned __int128>(v)
+               : static_cast<unsigned __int128>(v);
+  std::string digits;
+  while (magnitude != 0) {
+    digits.insert(digits.begin(), static_cast<char>('0' + magnitude % 10));
+    magnitude /= 10;
+  }
+  return negative ? "-" + digits : digits;
+}
+
+BigInt FromInt128(__int128 v) {
+  return BigInt::FromString(Int128ToString(v)).value();
+}
+
+/// A value within 2^20 of a boundary, or a uniform 64-bit value.
+__int128 BoundaryOperand(std::mt19937_64& rng) {
+  static const __int128 kCentres[] = {
+      0,
+      __int128{1} << 32,
+      (__int128{1} << 62) - 1,  // BigInt's largest inline magnitude
+      __int128{1} << 62,
+      (__int128{1} << 63) - 1,  // INT64_MAX
+      __int128{1} << 63,        // |INT64_MIN|
+  };
+  const uint64_t pick = rng() % 8;
+  if (pick >= 6) return static_cast<int64_t>(rng());
+  const __int128 offset =
+      static_cast<__int128>(rng() % (uint64_t{1} << 21)) - (__int128{1} << 20);
+  const __int128 v = kCentres[pick] + offset;
+  return (rng() & 1) != 0 ? -v : v;
+}
+
+void ExpectMatches(const BigInt& got, __int128 want, const std::string& what) {
+  EXPECT_EQ(got.ToString(), Int128ToString(want)) << what;
+  const bool fits = want >= INT64_MIN && want <= INT64_MAX;
+  EXPECT_EQ(got.FitsInt64(), fits) << what;
+  if (fits) {
+    EXPECT_EQ(got.ToInt64(), static_cast<int64_t>(want)) << what;
+  }
+}
+
+TEST(BigIntDifferentialTest, MatchesInt128AroundThePromotionBoundary) {
+  constexpr uint64_t kSeed = 20001;
+  std::mt19937_64 rng(kSeed);
+  for (int iter = 0; iter < 4000; ++iter) {
+    const __int128 x = BoundaryOperand(rng);
+    const __int128 y = BoundaryOperand(rng);
+    const BigInt a = FromInt128(x);
+    const BigInt b = FromInt128(y);
+    const std::string what = "seed " + std::to_string(kSeed) + " iter " +
+                             std::to_string(iter) + ": " + Int128ToString(x) +
+                             " op " + Int128ToString(y);
+    ExpectMatches(a, x, what + " (operand)");
+    ExpectMatches(a + b, x + y, what + " (+)");
+    ExpectMatches(a - b, x - y, what + " (-)");
+    ExpectMatches(a * b, x * y, what + " (*)");
+    if (y != 0) {
+      BigInt quotient, remainder;
+      BigInt::DivMod(a, b, &quotient, &remainder);
+      ExpectMatches(quotient, x / y, what + " (/)");
+      ExpectMatches(remainder, x % y, what + " (%)");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lcdb

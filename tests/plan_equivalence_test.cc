@@ -132,8 +132,48 @@ TEST(PlanEquivalenceTest, DecompositionDataFiles) {
     ConstraintDatabase db = Load(name);
     auto ext = BuildDecompositionExtension(db);
     ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+    std::string instance = InstanceOf(name);
+    instance.append("_decomp");
     for (const std::string& text : QueriesForArity(db.arity())) {
-      ExpectModesMatchGolden(InstanceOf(name) + "_decomp", **ext, text);
+      ExpectModesMatchGolden(instance, **ext, text);
+    }
+  }
+}
+
+TEST(PlanEquivalenceTest, LeafRouteSweep) {
+  // With max_tuple_space = n², every boolean node over three or more free
+  // region variables is a leaf of the set-at-a-time evaluator
+  // (plan/relation_eval.h), filled one binding at a time by the executor —
+  // RegionConn's ∃Z body among them. The answers must not move.
+  for (const std::string& name : DataFileNames()) {
+    SCOPED_TRACE(name);
+    ConstraintDatabase db = Load(name);
+    for (bool decomposition : {false, true}) {
+      SCOPED_TRACE(decomposition ? "decomposition" : "arrangement");
+      auto ext = decomposition ? BuildDecompositionExtension(db)
+                               : BuildArrangementExtension(db);
+      ASSERT_TRUE(ext.ok()) << ext.status().ToString();
+      const size_t n = (*ext)->num_regions();
+      std::string instance = InstanceOf(name);
+      if (decomposition) instance.append("_decomp");
+      for (const std::string& text : QueriesForArity(db.arity())) {
+        auto query = ParseQuery(text, db.relation_name());
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        for (const Mode& mode : {kRaw, kOptimized}) {
+          Evaluator::Options options;
+          options.optimize = mode.optimize;
+          options.max_tuple_space = n * n;
+          Evaluator evaluator(**ext, options);
+          auto answer = evaluator.Evaluate(**query);
+          ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+          ExpectGoldenAnswer(instance, text, answer->ToString(),
+                             std::string(mode.name) + " (leaf route)");
+          if (text == RegionConnQueryText() && mode.optimize && n > 1) {
+            EXPECT_GT(evaluator.stats().bool_evaluations, 0u)
+                << "the three-variable body was not a leaf";
+          }
+        }
+      }
     }
   }
 }
