@@ -505,14 +505,22 @@ Result<std::string> Evaluator::ExplainBytecode(const FormulaNode& query) {
 Result<std::string> Evaluator::ExplainAnalyze(const FormulaNode& query) {
   PlanProfile profile;
   CompiledPlan plan;
-  // stats_.kernel is cumulative across queries; diff it around the call to
-  // report only this execution in the footer.
+  // stats_.kernel and the evaluation counters are cumulative across
+  // queries; diff them around the call to report only this execution in
+  // the footer.
   const KernelStats kernel_cumulative_before = stats_.kernel;
+  const size_t word_ops_before = stats_.relation_word_ops;
+  const size_t bool_evaluations_before = stats_.bool_evaluations;
   LCDB_ASSIGN_OR_RETURN(QueryAnswer answer,
                         EvaluateImpl(query, &profile, &plan));
   std::string out = PrintPlan(plan, &profile);
   out += "-- " + stats_.plan.ToString() + "\n";
   out += "-- kernel: " + (stats_.kernel - kernel_cumulative_before).ToString() +
+         "\n";
+  out += "-- evaluator: relation_word_ops=" +
+         std::to_string(stats_.relation_word_ops - word_ops_before) +
+         " bool_evaluations=" +
+         std::to_string(stats_.bool_evaluations - bool_evaluations_before) +
          "\n";
   out += "-- governor: " + stats_.governor.ToString() + "\n";
   out += "-- answer: " +

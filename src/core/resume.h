@@ -20,8 +20,9 @@ struct PlanNode;
 /// work across the interrupt instead. While an Evaluate call runs, a
 /// thread-local ResumeCollector (the same ambient-install idiom as
 /// ScopedKernel / ScopedGovernor / ScopedTracer) observes the two fixpoint
-/// engines — the plan-tree executor (plan/executor.cc) and the bytecode VM
-/// (plan/vm.cc). When an interrupt unwinds, each engine deposits:
+/// engines — the tree executor's relation module (plan/relation_eval.cc) and
+/// the bytecode VM (plan/vm.cc). When an interrupt unwinds, each engine
+/// deposits:
 ///
 ///  * every *completed* fixpoint set and closure matrix (harvested from the
 ///    engine's per-query cache during the unwind), and

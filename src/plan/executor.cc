@@ -277,16 +277,11 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
       return relations_.Fixpoint(node).Test(
           Bind(node.region_args, renv).data());
     case PlanOp::kClosureMember: {
-      // Row-major indices of the from and to m-tuples.
-      auto index = [&](const std::vector<std::string>& vars) {
-        size_t i = 0;
-        for (const std::string& r : vars) {
-          i = i * ext_.num_regions() + renv.at(r);
-        }
-        return i;
-      };
-      return relations_.Closure(node).TestAt(index(node.region_args),
-                                             index(node.region_args2));
+      Tuple tuple = Bind(node.region_args, renv);
+      for (const std::string& r : node.region_args2) {
+        tuple.push_back(renv.at(r));
+      }
+      return relations_.Closure(node).Test(tuple.data());
     }
     case PlanOp::kRbitMember:
       return EvalRbit(node, renv, senv);

@@ -26,15 +26,6 @@ size_t SaturatingPow(size_t n, size_t k) {
   return out;
 }
 
-/// Writes the leading arity-1 columns of row `r` (mixed radix `values`,
-/// first column most significant) into out[0 .. arity-2].
-void DecodeRow(size_t r, size_t arity, size_t values, size_t* out) {
-  for (size_t i = arity - 1; i-- > 0;) {
-    out[i] = r % values;
-    r /= values;
-  }
-}
-
 /// A zero-initialized array of `size` elements, inline up to 8 (tuple
 /// scratch: arities are small, and quantifier slices call the row loops
 /// below once per region).
@@ -104,6 +95,15 @@ void ForEachBit(const uint64_t* row, size_t words, Fn fn) {
   }
 }
 
+/// Matrix coordinates of a TC/DTC reachability relation over (X̄, Ȳ):
+/// m-tuple indices u, v (row-major over n) to relation row and bit.
+struct ReachIndex {
+  size_t n;
+  size_t block_rows;  // n^(m-1): relation rows per matrix row
+  size_t Row(size_t u, size_t v) const { return u * block_rows + v / n; }
+  size_t Bit(size_t v) const { return v % n; }
+};
+
 /// Position of `id` in `cols`, or -1.
 int IndexIn(const std::vector<int>& cols, int id) {
   for (size_t i = 0; i < cols.size(); ++i) {
@@ -153,12 +153,13 @@ BitRelation BitRelation::FromTuples(const TupleSet& tuples, size_t values,
 BitRelation::TupleSet BitRelation::ToTuples() const {
   TupleSet out;
   std::vector<size_t> tuple(arity_);
-  for (size_t r = 0; r < rows_; ++r) {
-    if (arity_ == 0) {
-      if ((inline_word_ & 1) != 0) out.insert(tuple);
-      break;
-    }
-    DecodeRow(r, arity_, values_, tuple.data());
+  if (arity_ == 0) {
+    if ((inline_word_ & 1) != 0) out.insert(tuple);
+    return out;
+  }
+  RowPrefix prefix(arity_, values_);
+  for (size_t r = 0; r < rows_; ++r, prefix.Next()) {
+    for (size_t i = 0; i + 1 < arity_; ++i) tuple[i] = prefix[i];
     ForEachBit(row(r), row_words_, [&](size_t bit) {
       tuple[arity_ - 1] = bit;
       out.insert(out.end(), tuple);  // row-major order is the set's order
@@ -391,16 +392,15 @@ BitRelation RelationEvaluator::EvalUnprofiled(const PlanNode& node,
       return out;
     }
     case PlanOp::kIffBool: {
-      // mask \ (a xor b), as mask & ~((a | b) & ~(a & b)).
+      // Both hold, or neither does.
       const BitRelation a = EvalChild(*node.children[0], cols, mask);
       const BitRelation b = EvalChild(*node.children[1], cols, mask);
-      BitRelation both = a;
-      both.AndWith(b);
-      BitRelation either = a;
-      either.OrWith(b);
-      either.AndNotWith(both);
-      BitRelation out = mask;
-      out.AndNotWith(either);
+      BitRelation out = a;
+      out.AndWith(b);
+      BitRelation neither = mask;
+      neither.AndNotWith(a);
+      neither.AndNotWith(b);
+      out.OrWith(neither);
       CountWords(4 * words);
       return out;
     }
@@ -415,7 +415,7 @@ BitRelation RelationEvaluator::EvalUnprofiled(const PlanNode& node,
     case PlanOp::kFixpointMember:
       return Gather(Fixpoint(node), info.args, cols, mask);
     case PlanOp::kClosureMember:
-      return Gather(ClosureOf(node).reach, info.args, cols, mask);
+      return Gather(Closure(node), info.args, cols, mask);
     default:
       LCDB_CHECK_MSG(false, "symbolic operator in boolean context");
       return BitRelation(n_, cols.size());
@@ -471,27 +471,24 @@ BitRelation RelationEvaluator::FillLeaf(const PlanNode& node,
                                         const BitRelation& mask) {
   BitRelation out(n_, cols.size());
   const size_t arity = cols.size();
-  std::vector<size_t> tuple(arity);
   RegionEnv renv;
-  auto bind_and_eval = [&] {
-    // Rebuilt per binding: the leaf's own region loops may erase entries.
-    for (int id : info.free) {
-      const int pos = IndexIn(cols, id);
-      renv[var_names_[id]] = pos >= 0 ? tuple[pos] : value_[id];
-    }
-    return leaf_(node, renv, *senv_);
-  };
+  for (int id : info.free) {
+    if (value_[id] != kUnbound) renv[var_names_[id]] = value_[id];
+  }
   if (arity == 0) {
-    if (bind_and_eval()) out.SetAt(0, 0);
+    if (leaf_(node, renv, *senv_)) out.SetAt(0, 0);
     return out;
   }
-  for (size_t r = 0; r < out.rows(); ++r) {
+  RowPrefix prefix(arity, n_);
+  for (size_t r = 0; r < out.rows(); ++r, prefix.Next()) {
     const uint64_t* m = mask.row(r);
     if (RowEmpty(m, out.row_words())) continue;
-    DecodeRow(r, arity, n_, tuple.data());
+    for (size_t i = 0; i + 1 < arity; ++i) {
+      renv[var_names_[cols[i]]] = prefix[i];
+    }
     ForEachBit(m, out.row_words(), [&](size_t bit) {
-      tuple[arity - 1] = bit;
-      if (bind_and_eval()) out.SetAt(r, bit);
+      renv[var_names_[cols.back()]] = bit;
+      if (leaf_(node, renv, *senv_)) out.SetAt(r, bit);
     });
   }
   return out;
@@ -812,39 +809,16 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
 }
 
 const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
-  return ClosureOf(node).matrix;
-}
-
-const RelationEvaluator::ClosureEntry& RelationEvaluator::ClosureOf(
-    const PlanNode& node) {
   auto cached = closures_.find(&node);
   if (cached != closures_.end()) return cached->second;
 
   const size_t m = node.bound_vars.size() / 2;
-  // reach (over X̄, Ȳ) from the (n^m x n^m) matrix.
-  auto entry_of = [&](BitRelation matrix) {
-    ClosureEntry entry;
-    if (m == 1) {
-      entry.reach = matrix;
-    } else {
-      entry.reach = BitRelation(n_, 2 * m);
-      std::vector<size_t> tuple(2 * m);
-      for (size_t u = 0; u < matrix.rows(); ++u) {
-        ForEachBit(matrix.row(u), matrix.row_words(), [&](size_t v) {
-          size_t a = u, b = v;
-          for (size_t i = m; i-- > 0;) {
-            tuple[i] = a % n_;
-            a /= n_;
-            tuple[m + i] = b % n_;
-            b /= n_;
-          }
-          entry.reach.Set(tuple.data());
-        });
-      }
-    }
-    entry.matrix = std::move(matrix);
-    return entry;
-  };
+  // The reachability matrix over m-tuple indices is the relation over
+  // (X̄, Ȳ) itself: its rows that start with ū form one contiguous block,
+  // matrix row ū — the set of v̄, laid out as a relation over Ȳ.
+  BitRelation reach(n_, 2 * m);
+  const ReachIndex index{n_, SaturatingPow(n_, m - 1)};
+  const size_t block_words = index.block_rows * reach.row_words();
 
   // Resume fast path (core/resume.h): completed-matrix granularity only — an
   // interrupt mid-edge-build restarts the operator.
@@ -852,14 +826,12 @@ const RelationEvaluator::ClosureEntry& RelationEvaluator::ClosureOf(
     if (uint64_t site = resume->SiteKey(&node)) {
       if (const auto* done = resume->CompletedClosure(site)) {
         ++stats_->resume_sets_restored;
-        BitRelation matrix(done->size(), 2);
         for (size_t u = 0; u < done->size(); ++u) {
           for (size_t v = 0; v < done->size(); ++v) {
-            if ((*done)[u][v]) matrix.SetAt(u, v);
+            if ((*done)[u][v]) reach.SetAt(index.Row(u, v), index.Bit(v));
           }
         }
-        return closures_.emplace(&node, entry_of(std::move(matrix)))
-            .first->second;
+        return closures_.emplace(&node, std::move(reach)).first->second;
       }
     }
   }
@@ -891,6 +863,7 @@ const RelationEvaluator::ClosureEntry& RelationEvaluator::ClosureOf(
             [&](int a, int b) { return var_names_[a] < var_names_[b]; });
   const BitRelation full_row = BitRelation::Full(n_, m);
 
+  // The body sees only X̄ and Ȳ (Definition 7.2): a fresh scope.
   std::vector<size_t> saved_values(value_.size(), kUnbound);
   saved_values.swap(value_);
   const SetEnv* saved_senv = senv_;
@@ -901,27 +874,19 @@ const RelationEvaluator::ClosureEntry& RelationEvaluator::ClosureOf(
     value_.swap(saved_values);
     senv_ = saved_senv;
   };
-
-  BitRelation matrix(total, 2);
   try {
     for (size_t u = 0; u < total; ++u) {
       // Edge construction is the LP-heavy phase, so it gets the per-row
       // injection + cancellation point. An unwind abandons only the local
-      // matrix; the closure cache is untouched.
+      // relation; the closure cache is untouched.
       LCDB_FAILPOINT("closure.build");
       GovernorCheckpoint();
       for (size_t i = m, a = u; i-- > 0; a /= n_) value_[from[i]] = a % n_;
       BitRelation row = EvalChild(*node.children[0], sorted_to, full_row);
       if (sorted_to != to) row = Gather(row, sorted_to, to, full_row);
-      if (m == 1) {
-        std::copy(row.row(0), row.row(0) + row.word_count(), matrix.row(u));
-        CountWords(row.word_count());
-      } else {
-        for (size_t r = 0; r < row.rows(); ++r) {
-          ForEachBit(row.row(r), row.row_words(),
-                     [&](size_t bit) { matrix.SetAt(u, r * n_ + bit); });
-        }
-      }
+      std::copy(row.row(0), row.row(0) + block_words,
+                reach.row(u * index.block_rows));
+      CountWords(block_words);
     }
   } catch (const QueryInterrupt&) {
     restore_scope();
@@ -929,35 +894,34 @@ const RelationEvaluator::ClosureEntry& RelationEvaluator::ClosureOf(
   }
   restore_scope();
 
-  const size_t words = matrix.row_words();
   if (node.source_kind == NodeKind::kDtc) {
     // Keep only unique successors.
     for (size_t u = 0; u < total; ++u) {
-      uint64_t* row = matrix.row(u);
+      uint64_t* row = reach.row(u * index.block_rows);
       size_t successors = 0;
-      for (size_t w = 0; w < words; ++w) {
+      for (size_t w = 0; w < block_words; ++w) {
         successors += static_cast<size_t>(std::popcount(row[w]));
       }
-      if (successors != 1) std::fill(row, row + words, 0);
+      if (successors != 1) std::fill(row, row + block_words, 0);
     }
-    CountWords(total * words);
+    CountWords(total * block_words);
   }
   // Reflexive-transitive closure: the diagonal (length-one sequences),
   // then Warshall over bit rows — after pivot p, row u holds every v
   // reachable through intermediates among 0..p.
-  for (size_t u = 0; u < total; ++u) matrix.SetAt(u, u);
+  for (size_t u = 0; u < total; ++u) reach.SetAt(index.Row(u, u), index.Bit(u));
   for (size_t p = 0; p < total; ++p) {
-    const uint64_t* pivot = matrix.row(p);
+    const uint64_t* pivot = reach.row(p * index.block_rows);
     for (size_t u = 0; u < total; ++u) {
-      if (u == p || !matrix.TestAt(u, p)) continue;
-      uint64_t* row = matrix.row(u);
-      for (size_t w = 0; w < words; ++w) row[w] |= pivot[w];
-      CountWords(words);
+      if (u == p || !reach.TestAt(index.Row(u, p), index.Bit(p))) continue;
+      uint64_t* row = reach.row(u * index.block_rows);
+      for (size_t w = 0; w < block_words; ++w) row[w] |= pivot[w];
+      CountWords(block_words);
     }
   }
   stats_->closure_feasibility_queries +=
       CurrentKernel().stats().feasibility_queries - kernel_queries_before;
-  return closures_.emplace(&node, entry_of(std::move(matrix))).first->second;
+  return closures_.emplace(&node, std::move(reach)).first->second;
 }
 
 void RelationEvaluator::HarvestResumeState(ResumeCollector& resume) const {
@@ -966,14 +930,17 @@ void RelationEvaluator::HarvestResumeState(ResumeCollector& resume) const {
       resume.CaptureCompletedFixpoint(site, set.ToTuples());
     }
   }
-  for (const auto& [node, entry] : closures_) {
+  for (const auto& [node, reach] : closures_) {
     if (uint64_t site = resume.SiteKey(node)) {
-      const size_t total = entry.matrix.rows();
+      const size_t m = node->bound_vars.size() / 2;
+      const size_t total = n_ == 0 ? 0 : SaturatingPow(n_, m);
+      const ReachIndex index{n_, SaturatingPow(n_, m - 1)};
       std::vector<std::vector<bool>> closure(total,
                                              std::vector<bool>(total, false));
       for (size_t u = 0; u < total; ++u) {
-        ForEachBit(entry.matrix.row(u), entry.matrix.row_words(),
-                   [&](size_t v) { closure[u][v] = true; });
+        for (size_t v = 0; v < total; ++v) {
+          closure[u][v] = reach.TestAt(index.Row(u, v), index.Bit(v));
+        }
       }
       resume.CaptureCompletedClosure(site, closure);
     }

@@ -29,8 +29,7 @@ namespace lcdb {
 /// bits enumerate in lexicographic tuple order (the order of a
 /// std::set<std::vector<size_t>>). Arity 0 is one row holding one bit.
 ///
-/// `values` is the column domain size: the region count for region
-/// relations, n^m for the m-tuple reachability matrices of TC/DTC.
+/// `values` is the column domain size (the region count, except in tests).
 class BitRelation {
  public:
   using TupleSet = std::set<std::vector<size_t>>;
@@ -269,8 +268,8 @@ class RelationEvaluator {
   /// The fixpoint set of a kFixpointMember node, over its bound variables
   /// in binder order.
   const BitRelation& Fixpoint(const PlanNode& node);
-  /// Reachability of a kClosureMember node: BitRelation(n^m, 2) indexed by
-  /// the row-major indices of the from and to m-tuples.
+  /// Reflexive-transitive reachability of a kClosureMember node, as the
+  /// relation over its bound variables (X̄, Ȳ).
   const BitRelation& Closure(const PlanNode& node);
 
   /// Deposits completed fixpoint sets and closure matrices into `resume`,
@@ -296,10 +295,6 @@ class RelationEvaluator {
   struct BaseRelation {
     BitRelation value;
     BitRelation known;
-  };
-  struct ClosureEntry {
-    BitRelation matrix;  // (n^m, 2): the Warshall matrix
-    BitRelation reach;   // (n, 2m): the same set over (X̄, Ȳ)
   };
 
   int VarId(const std::string& name);
@@ -333,7 +328,6 @@ class RelationEvaluator {
   BitRelation Broadcast(const BitRelation& rel, const Columns& from,
                         const Columns& to, const BitRelation& mask);
   BaseRelation& Base(const PlanNode& atom);
-  const ClosureEntry& ClosureOf(const PlanNode& node);
 
   void CountWords(size_t words) { stats_->relation_word_ops += words; }
 
@@ -355,7 +349,7 @@ class RelationEvaluator {
   std::unordered_map<const PlanNode*, NodeInfo> info_;
   std::map<std::pair<NodeKind, int>, BaseRelation> bases_;
   std::map<const PlanNode*, BitRelation> fixpoints_;
-  std::map<const PlanNode*, ClosureEntry> closures_;
+  std::map<const PlanNode*, BitRelation> closures_;
 };
 
 }  // namespace lcdb
