@@ -342,8 +342,8 @@ bool RelationEvaluator::EvalBound(const PlanNode& node, const RegionEnv& renv,
 BitRelation RelationEvaluator::Eval(const PlanNode& node, const Columns& cols,
                                     const BitRelation& mask) {
   GovernorCheckpoint();
-  // A tuple outside the mask is never evaluated, exactly as the per-binding
-  // executor never reaches it.
+  // A tuple outside the mask is never evaluated: no binding-at-a-time
+  // evaluation would reach it.
   if (mask.Empty()) return BitRelation(n_, cols.size());
   const NodeInfo& info = Info(node);
   if (profile_ == nullptr || info.leaf) {
@@ -447,7 +447,7 @@ BitRelation RelationEvaluator::Quantify(const PlanNode& node,
   const size_t words = mask.word_count();
   // `pending`: tuples still undecided — for ∃ not yet witnessed, for ∀ not
   // yet refuted. Region z's slice of the body is evaluated on exactly the
-  // tuples the per-binding loop would still visit at z.
+  // tuples a binding-at-a-time loop over z would still visit at z.
   BitRelation pending = mask;
   BitRelation found(n_, cols.size());
   for (size_t r = 0; r < n_ && !pending.Empty(); ++r) {

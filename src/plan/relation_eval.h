@@ -98,8 +98,8 @@ class BitRelation {
   size_t row_words_;
   uint64_t tail_mask_;
   // Relations of at most one word (every nullary one, the unary ones of up
-  // to 64 regions) live inline: the per-binding scopes of region
-  // quantifiers evaluate many of them.
+  // to 64 regions) live inline: region quantifiers over bound variables
+  // evaluate many of them, one slice per region.
   size_t word_count_;
   uint64_t inline_word_ = 0;
   std::vector<uint64_t> heap_words_;
@@ -112,7 +112,7 @@ class BitRelation {
   }
 };
 
-/// Region-variable bindings of the per-binding executor.
+/// Region-variable bindings of one binding-at-a-time evaluation (leaves).
 using RegionEnv = std::map<std::string, size_t>;
 /// A set variable's current fixpoint stage. `version` is unique per stage,
 /// so memo entries of set-dependent leaves never outlive their stage.
@@ -186,24 +186,26 @@ auto ProfiledEval(PlanProfile* profile, const PlanNode& node, Fn&& eval) {
 /// element-sort operator (kNonEmpty, kRbitMember — their subtrees are
 /// symbolic) or n^|free region vars| exceeds max_tuple_space. Every other
 /// node is a leaf: the hosting executor fills it one binding at a time,
-/// under its own memo, with the same EvalBool the per-binding executor has
-/// always used. A query that evaluates per binding therefore never meets a
-/// relation larger than its own budget, and no new budget can trip.
+/// under its own memo (PlanExecutor::EvalBool). No relation is therefore
+/// larger than the query's own tuple-space budget, and no new budget can
+/// trip.
 ///
 /// **Masks.** Every node is evaluated under a mask — the tuples whose value
 /// the enclosing expression still needs — and touches nothing outside it,
-/// reproducing the per-binding executor's short-circuits exactly:
+/// reproducing the short-circuits of one-binding-at-a-time evaluation
+/// exactly:
 ///  * ∧ evaluates its right operand only where the left holds, ∨ only where
 ///    the left fails, → only where the left holds; ↔ and ¬ evaluate fully.
 ///  * ∃Z / ∀Z are an OR- / AND-projection of the body over Z, accumulated
 ///    one region of Z at a time in region order; a tuple leaves the mask
 ///    once decided. ∃Z (A(R,Z) ∧ B(Z,R')) thereby runs as a fused boolean
-///    matrix product (row Z of B is OR-ed into every row R with A(R,Z)),
-///    never building the ternary relation.
+///    matrix product (row Z of B, masked, is OR-ed into every row R with
+///    A(R,Z)), never building the ternary relation.
 ///  * Base relations (adj, subset, meets, =, dim, bounded) fill lazily on
 ///    the masked tuples only, row by row, inside the query. On a
 ///    decomposition extension adj and subset are LP decisions, so masking is
-///    what keeps their oracle calls those of the per-binding executor.
+///    what keeps their oracle calls those of one-binding-at-a-time
+///    evaluation.
 ///  * Leaves are filled on the masked tuples only.
 ///
 /// **Fixpoints** ([LFP/IFP/PFP_{M, X̄} body], Definition 5.1). The set is
@@ -212,7 +214,7 @@ auto ProfiledEval(PlanProfile* profile, const PlanNode& node, Fn&& eval) {
 /// and cached. One Kleene stage is one relation-valued evaluation of the
 /// body with M bound to the previous stage (Jacobi: a stage reads only its
 /// predecessor), so stage counts, the Theorem 6.1 stage bound, resume
-/// checkpoints and PFP cycle detection see the per-binding sequence of
+/// checkpoints and PFP cycle detection see the textbook Kleene sequence of
 /// sets.
 ///  * LFP: body is positive in M, so f_body is monotone and the Kleene
 ///    stages increase; tuples already derived are masked out of the body.
