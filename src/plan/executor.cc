@@ -5,12 +5,9 @@
 #include "constraint/simplify.h"
 #include "core/resume.h"
 #include "engine/governor.h"
-#include "engine/kernel.h"
-#include "engine/trace.h"
 #include "geometry/convex_closure.h"
 #include "qe/fourier_motzkin.h"
 #include "util/failpoint.h"
-#include "util/interrupt.h"
 #include "util/status.h"
 
 namespace lcdb {

@@ -661,6 +661,20 @@ RelationEvaluator::BaseRelation& RelationEvaluator::Base(
   return it->second;
 }
 
+RelationEvaluator::FreshScope::FreshScope(RelationEvaluator& eval)
+    : eval_(eval), saved_values_(eval.value_.size(), kUnbound),
+      saved_senv_(eval.senv_) {
+  saved_values_.swap(eval_.value_);
+  eval_.senv_ = &no_sets_;
+}
+
+RelationEvaluator::FreshScope::~FreshScope() {
+  // Variables first seen inside the scope keep their (unbound) slots.
+  saved_values_.resize(eval_.value_.size(), kUnbound);
+  eval_.value_.swap(saved_values_);
+  eval_.senv_ = saved_senv_;
+}
+
 const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
   auto cached = fixpoints_.find(&node);
   if (cached != fixpoints_.end()) return cached->second;
@@ -708,11 +722,8 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
   const bool permuted = sorted != bound;
   const BitRelation full = BitRelation::Full(n_, k);
 
-  // The body sees only M and X̄ (Definition 5.1): evaluate it in a fresh
-  // scope, whatever the caller had bound.
-  std::vector<size_t> saved_values(value_.size(), kUnbound);
-  saved_values.swap(value_);
-  const SetEnv* saved_senv = senv_;
+  // The body sees only M and X̄ (Definition 5.1).
+  FreshScope scope(*this);
 
   // One Kleene stage: the next set from the current one. Pure in the set
   // binding (leaf memo entries are keyed by a fresh version each call), so
@@ -737,11 +748,6 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
   auto account = [&] {
     stats_->fixpoint_feasibility_queries +=
         CurrentKernel().stats().feasibility_queries - kernel_queries_before;
-  };
-  auto restore_scope = [&] {
-    saved_values.resize(value_.size(), kUnbound);
-    value_.swap(saved_values);
-    senv_ = saved_senv;
   };
 
   BitRelation current(n_, k);
@@ -775,7 +781,6 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
         if (cycle.SeenBefore(current, iteration, kleene_stage)) {
           // Revisited a state without reaching a fixed point: diverges.
           account();
-          restore_scope();
           return fixpoints_.emplace(&node, BitRelation(n_, k)).first->second;
         }
       }
@@ -800,11 +805,9 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
       resume->CaptureInProgress(site, current.ToTuples(), iteration,
                                 std::move(pfp_hashes));
     }
-    restore_scope();
     throw;
   }
   account();
-  restore_scope();
   return fixpoints_.emplace(&node, std::move(current)).first->second;
 }
 
@@ -863,18 +866,9 @@ const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
             [&](int a, int b) { return var_names_[a] < var_names_[b]; });
   const BitRelation full_row = BitRelation::Full(n_, m);
 
-  // The body sees only X̄ and Ȳ (Definition 7.2): a fresh scope.
-  std::vector<size_t> saved_values(value_.size(), kUnbound);
-  saved_values.swap(value_);
-  const SetEnv* saved_senv = senv_;
-  const SetEnv no_sets;
-  senv_ = &no_sets;
-  auto restore_scope = [&] {
-    saved_values.resize(value_.size(), kUnbound);
-    value_.swap(saved_values);
-    senv_ = saved_senv;
-  };
-  try {
+  {
+    // The body sees only X̄ and Ȳ (Definition 7.2).
+    FreshScope scope(*this);
     for (size_t u = 0; u < total; ++u) {
       // Edge construction is the LP-heavy phase, so it gets the per-row
       // injection + cancellation point. An unwind abandons only the local
@@ -888,11 +882,7 @@ const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
                 reach.row(u * index.block_rows));
       CountWords(block_words);
     }
-  } catch (const QueryInterrupt&) {
-    restore_scope();
-    throw;
   }
-  restore_scope();
 
   if (node.source_kind == NodeKind::kDtc) {
     // Keep only unique successors.

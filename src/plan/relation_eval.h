@@ -299,6 +299,23 @@ class RelationEvaluator {
     BitRelation known;
   };
 
+  /// While alive, no region or set variable is bound: the scope of a
+  /// fixpoint or closure body, which sees only its own binders. Restores
+  /// the caller's bindings on every exit, unwinds included.
+  class FreshScope {
+   public:
+    explicit FreshScope(RelationEvaluator& eval);
+    ~FreshScope();
+    FreshScope(const FreshScope&) = delete;
+    FreshScope& operator=(const FreshScope&) = delete;
+
+   private:
+    RelationEvaluator& eval_;
+    std::vector<size_t> saved_values_;
+    const SetEnv* saved_senv_;
+    const SetEnv no_sets_;
+  };
+
   int VarId(const std::string& name);
   const NodeInfo& Info(const PlanNode& node);
   Columns ColumnsOf(const NodeInfo& info) const;
