@@ -37,6 +37,9 @@ class PlanExecutor {
  public:
   PlanExecutor(const CompiledPlan& plan, const RegionExtension& ext,
                const Evaluator::Options& options, Evaluator::Stats* stats);
+  // The relation module's leaf callback holds `this`.
+  PlanExecutor(const PlanExecutor&) = delete;
+  PlanExecutor& operator=(const PlanExecutor&) = delete;
 
   /// Evaluates the plan root symbolically; the result ranges over the
   /// plan's num_columns element columns.
