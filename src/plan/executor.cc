@@ -47,14 +47,6 @@ void PlanExecutor::HarvestResumeState() {
   }
 }
 
-PlanExecutor::Tuple PlanExecutor::Bind(const std::vector<std::string>& vars,
-                                       const RegionEnv& renv) {
-  Tuple tuple;
-  tuple.reserve(vars.size());
-  for (const std::string& r : vars) tuple.push_back(renv.at(r));
-  return tuple;
-}
-
 bool PlanExecutor::CacheKey(const PlanNode& node, const RegionEnv& renv,
                             const SetEnv& senv, Tuple* key) const {
   key->clear();
@@ -229,57 +221,6 @@ bool PlanExecutor::EvalBool(const PlanNode& node, RegionEnv& renv,
 bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
                                     const SetEnv& senv) {
   switch (node.op) {
-    case PlanOp::kConstBool:
-      return node.const_bool;
-    case PlanOp::kNotBool:
-      return !EvalBool(*node.children[0], renv, senv);
-    case PlanOp::kAndBool:
-      return EvalBool(*node.children[0], renv, senv) &&
-             EvalBool(*node.children[1], renv, senv);
-    case PlanOp::kOrBool:
-      return EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
-    case PlanOp::kImpliesBool:
-      return !EvalBool(*node.children[0], renv, senv) ||
-             EvalBool(*node.children[1], renv, senv);
-    case PlanOp::kIffBool:
-      return EvalBool(*node.children[0], renv, senv) ==
-             EvalBool(*node.children[1], renv, senv);
-    case PlanOp::kAnyRegion: {
-      ++stats_->region_expansions;
-      bool found = false;
-      for (size_t r = 0; r < ext_.num_regions() && !found; ++r) {
-        renv[node.region_var] = r;
-        found = EvalBool(*node.children[0], renv, senv);
-      }
-      renv.erase(node.region_var);
-      return found;
-    }
-    case PlanOp::kAllRegion: {
-      ++stats_->region_expansions;
-      bool holds = true;
-      for (size_t r = 0; r < ext_.num_regions() && holds; ++r) {
-        renv[node.region_var] = r;
-        holds = EvalBool(*node.children[0], renv, senv);
-      }
-      renv.erase(node.region_var);
-      return holds;
-    }
-    case PlanOp::kRegionAtom:
-      return RegionAtomHolds(ext_, node, Bind(node.region_args, renv).data());
-    case PlanOp::kSetMember:
-      return senv.at(node.set_var).relation->Test(
-          Bind(node.region_args, renv).data());
-    case PlanOp::kFixpointMember:
-      return relations_.Fixpoint(node).Test(
-          Bind(node.region_args, renv).data());
-    case PlanOp::kClosureMember: {
-      Tuple tuple = Bind(node.region_args, renv);
-      for (const std::string& r : node.region_args2) {
-        tuple.push_back(renv.at(r));
-      }
-      return relations_.Closure(node).Test(tuple.data());
-    }
     case PlanOp::kRbitMember:
       return EvalRbit(node, renv, senv);
     case PlanOp::kNonEmpty:
@@ -288,7 +229,7 @@ bool PlanExecutor::EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
       // emptiness.
       return !Eval(*node.children[0], renv, senv).IsEmpty();
     default:
-      LCDB_CHECK_MSG(false, "symbolic operator in boolean context");
+      LCDB_CHECK_MSG(false, "not a leaf of the relation module");
       return false;
   }
 }

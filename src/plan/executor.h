@@ -61,8 +61,8 @@ class PlanExecutor {
   DnfFormula Eval(const PlanNode& node, RegionEnv& renv, const SetEnv& senv);
   DnfFormula EvalUncached(const PlanNode& node, RegionEnv& renv,
                           const SetEnv& senv);
-  /// One binding of a boolean node: the leaf evaluator of the relation
-  /// module (plan/relation_eval.h), recursive over a leaf's subtree.
+  /// One binding of a leaf of the relation module (plan/relation_eval.h):
+  /// a nonempty or rBIT node, whose subtree is symbolic.
   bool EvalBool(const PlanNode& node, RegionEnv& renv, const SetEnv& senv);
   bool EvalBoolUncached(const PlanNode& node, RegionEnv& renv,
                         const SetEnv& senv);
@@ -72,9 +72,6 @@ class PlanExecutor {
   /// ResumeCollector (core/resume.h). Called from Run's unwind path: the
   /// executor's caches are stack-local and die with the interrupt.
   void HarvestResumeState();
-  /// Values of `vars` under `renv`, in order.
-  static Tuple Bind(const std::vector<std::string>& vars,
-                    const RegionEnv& renv);
 
   /// Cache key under the node's CachePolicy: free-region values
   /// (name-sorted) then free-set stage versions.

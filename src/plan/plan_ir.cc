@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 
-#include "constraint/canonical.h"
 #include "util/status.h"
 
 namespace lcdb {
@@ -333,76 +332,6 @@ class PlanPrinter {
 };
 
 }  // namespace
-
-namespace {
-
-/// Order-sensitive accumulation of the plan fingerprint.
-class Fingerprinter {
- public:
-  void Node(const PlanNode& node) {
-    auto [it, first] = ids_.emplace(&node, ids_.size());
-    if (!first) {  // shared subplan: refer back to its first visit
-      Mix(0x5eedull);
-      Mix(it->second);
-      return;
-    }
-    Mix(static_cast<uint64_t>(node.op));
-    Mix(static_cast<uint64_t>(node.source_kind));
-    Mix(static_cast<uint64_t>(node.cache));
-    Mix(node.const_bool ? 1 : 0);
-    if (node.const_formula.has_value()) {
-      Mix(node.const_formula->num_vars());
-      for (const Conjunction& c : node.const_formula->disjuncts()) {
-        Mix(c.Hash());
-      }
-    }
-    Exprs(node.subst);
-    Exprs(node.hull_project);
-    Mix(node.hull_arity);
-    Mix(node.column);
-    Mix(static_cast<uint64_t>(static_cast<int64_t>(node.dim_value)));
-    Name(node.set_var);
-    Name(node.region_var);
-    Names(node.region_args);
-    Names(node.region_args2);
-    Names(node.bound_vars);
-    Mix(node.children.size());
-    for (const PlanPtr& child : node.children) Node(*child);
-  }
-
-  uint64_t hash() const { return hash_ == 0 ? 1 : hash_; }
-  void Mix(uint64_t v) {
-    hash_ ^= v + 0x9e3779b97f4a7c15ull + (hash_ << 6) + (hash_ >> 2);
-  }
-
- private:
-  void Name(const std::string& name) { Mix(StableHash64(name)); }
-  void Names(const std::vector<std::string>& names) {
-    Mix(names.size());
-    for (const std::string& name : names) Name(name);
-  }
-  void Exprs(const std::vector<AffineExpr>& exprs) {
-    Mix(exprs.size());
-    for (const AffineExpr& e : exprs) {
-      Mix(e.coeffs.size());
-      for (const Rational& c : e.coeffs) Mix(c.Hash());
-      Mix(e.constant.Hash());
-    }
-  }
-
-  uint64_t hash_ = 1469598103934665603ull;
-  std::map<const PlanNode*, uint64_t> ids_;
-};
-
-}  // namespace
-
-uint64_t PlanFingerprint(const CompiledPlan& plan) {
-  LCDB_CHECK(plan.root != nullptr);
-  Fingerprinter fingerprint;
-  fingerprint.Mix(plan.num_columns);
-  fingerprint.Node(*plan.root);
-  return fingerprint.hash();
-}
 
 size_t CountPlanNodes(const PlanNode& root) {
   std::set<const PlanNode*> seen;

@@ -159,13 +159,6 @@ void DeriveAnnotations(PlanNode* node, size_t num_regions);
 /// Number of distinct nodes in the (possibly shared) plan DAG.
 size_t CountPlanNodes(const PlanNode& root);
 
-/// Stable 64-bit fingerprint of the plan DAG: every node's operator,
-/// payloads and cache policy, its children in order, and which nodes are
-/// shared. Two plans agree exactly when their executions run the same
-/// plan; computed without rendering the plan (the flight recorder takes
-/// one per query).
-uint64_t PlanFingerprint(const CompiledPlan& plan);
-
 /// Pretty-prints the plan as an indented tree with per-operator
 /// annotations: free region variables, set-dependence, caching decision and
 /// estimated region fan-out. Shared subplans are printed once and

@@ -112,6 +112,29 @@ int IndexIn(const std::vector<int>& cols, int id) {
   return -1;
 }
 
+/// Truth of a region atom (adj / = / subset / meets / dim / bounded, by
+/// `atom.source_kind`) at the regions `args` (one per region argument).
+bool RegionAtomHolds(const RegionExtension& ext, const PlanNode& atom,
+                     const size_t* args) {
+  switch (atom.source_kind) {
+    case NodeKind::kAdjacent:
+      return ext.Adjacent(args[0], args[1]);
+    case NodeKind::kRegionEq:
+      return args[0] == args[1];
+    case NodeKind::kSubsetS:
+      return ext.RegionSubsetOfS(args[0]);
+    case NodeKind::kIntersectsS:
+      return ext.RegionIntersectsS(args[0]);
+    case NodeKind::kDimAtom:
+      return ext.RegionDim(args[0]) == atom.dim_value;
+    case NodeKind::kBoundedAtom:
+      return ext.RegionBounded(args[0]);
+    default:
+      LCDB_CHECK_MSG(false, "not a region atom");
+      return false;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -242,27 +265,6 @@ uint64_t BitRelation::Hash() const {
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-bool RegionAtomHolds(const RegionExtension& ext, const PlanNode& atom,
-                     const size_t* args) {
-  switch (atom.source_kind) {
-    case NodeKind::kAdjacent:
-      return ext.Adjacent(args[0], args[1]);
-    case NodeKind::kRegionEq:
-      return args[0] == args[1];
-    case NodeKind::kSubsetS:
-      return ext.RegionSubsetOfS(args[0]);
-    case NodeKind::kIntersectsS:
-      return ext.RegionIntersectsS(args[0]);
-    case NodeKind::kDimAtom:
-      return ext.RegionDim(args[0]) == atom.dim_value;
-    case NodeKind::kBoundedAtom:
-      return ext.RegionBounded(args[0]);
-    default:
-      LCDB_CHECK_MSG(false, "not a region atom");
-      return false;
-  }
-}
-
 ScopedOpTimer::~ScopedOpTimer() {
   OpTiming& slot = (*timings_)[PlanOpName(op_)];
   ++slot.count;
@@ -296,9 +298,8 @@ const RelationEvaluator::NodeInfo& RelationEvaluator::Info(
   if (it != info_.end()) return it->second;
   NodeInfo info;
   for (const std::string& r : node.free_region) info.free.push_back(VarId(r));
-  info.leaf = node.op == PlanOp::kNonEmpty ||
-              node.op == PlanOp::kRbitMember ||
-              SaturatingPow(n_, info.free.size()) > options_.max_tuple_space;
+  info.leaf =
+      node.op == PlanOp::kNonEmpty || node.op == PlanOp::kRbitMember;
   for (const std::string& r : node.region_args) info.args.push_back(VarId(r));
   for (const std::string& r : node.region_args2) {
     info.args.push_back(VarId(r));

@@ -122,11 +122,6 @@ struct SetBinding {
 };
 using SetEnv = std::map<std::string, SetBinding>;
 
-/// Truth of a region atom (adj / = / subset / meets / dim / bounded, by
-/// `atom.source_kind`) at the regions `args` (one per region argument).
-bool RegionAtomHolds(const RegionExtension& ext, const PlanNode& atom,
-                     const size_t* args);
-
 /// Wall-clock of one expensive operator into Stats::op_timings, under a
 /// trace span named after the operator.
 class ScopedOpTimer {
@@ -182,13 +177,15 @@ auto ProfiledEval(PlanProfile* profile, const PlanNode& node, Fn&& eval) {
 /// its free region variables that no enclosing scope has bound, in name
 /// order.
 ///
-/// **Leaves.** A boolean node is evaluated set-at-a-time unless it is an
-/// element-sort operator (kNonEmpty, kRbitMember — their subtrees are
-/// symbolic) or n^|free region vars| exceeds max_tuple_space. Every other
-/// node is a leaf: the hosting executor fills it one binding at a time,
-/// under its own memo (PlanExecutor::EvalBool). No relation is therefore
-/// larger than the query's own tuple-space budget, and no new budget can
-/// trip.
+/// **Leaves.** The element-sort operators (kNonEmpty, kRbitMember — their
+/// subtrees are symbolic) are the leaves: the hosting executor fills them
+/// one binding at a time, under its own memo (PlanExecutor::EvalBool).
+/// Every other boolean node is evaluated set-at-a-time. A node's columns
+/// are a subset of those of the boundary it was entered from — none below
+/// lift_bool, X̄ for a fixpoint body, Ȳ for a closure edge row — since an
+/// enclosing quantifier slice binds every other free variable. So no
+/// relation outgrows the tuple space the fixpoint and closure checks
+/// already bound, and no new budget can trip.
 ///
 /// **Masks.** Every node is evaluated under a mask — the tuples whose value
 /// the enclosing expression still needs — and touches nothing outside it,
