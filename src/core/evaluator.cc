@@ -374,9 +374,9 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
       return compiled;
     }
     if (recorder != nullptr) {
-      // The plan fingerprint hashes the final plan DAG, so two records
+      // The plan fingerprint hashes the final printed plan, so two records
       // agree exactly when their executions ran the same plan.
-      record.plan_fingerprint = PlanFingerprint(plan);
+      record.plan_fingerprint = StableHash64(PrintPlan(plan));
     }
     if (plan_out != nullptr) *plan_out = plan;
     if (resume_collector.has_value()) {
