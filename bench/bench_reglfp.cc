@@ -330,14 +330,15 @@ void BM_PlanOptimizerAblation(benchmark::State& state) {
 BENCHMARK(BM_PlanOptimizerAblation)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Dispatch-overhead experiment (EXPERIMENTS.md, "Bytecode VM telemetry"):
-/// the connectivity sentence through the plan-tree walk (Arg 1 = 0) vs the
-/// register-bytecode VM (Arg 1 = 1) on the comb family. Both backends are
-/// byte-identical in answers and memo cadence, so the timing delta isolates
-/// interpretation overhead: tree-node virtual-ish dispatch + string-keyed
-/// environment maps against dense fixed-width instructions, flat register
-/// slots, and inline-cached kernel call sites. Counters expose the VM's
-/// instruction volume and inline-cache economics.
+/// Backend experiment (EXPERIMENTS.md, "Bytecode VM telemetry"): the
+/// connectivity sentence through the plan-tree executor (Arg 1 = 0) vs the
+/// register-bytecode VM (Arg 1 = 1) on the comb family. The answers are
+/// byte-identical but the work is not: the tree runs the fixpoint
+/// set-at-a-time over bit relations (plan/relation_eval.h), the VM one
+/// binding at a time through dense fixed-width instructions, flat register
+/// slots and inline-cached kernel call sites. So the timing delta compares
+/// the two evaluation strategies, not dispatch alone. Counters expose the
+/// VM's instruction volume and inline-cache economics.
 void BM_VmDispatch(benchmark::State& state) {
   const size_t teeth = static_cast<size_t>(state.range(0));
   const bool use_vm = state.range(1) != 0;
