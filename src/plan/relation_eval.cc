@@ -521,17 +521,20 @@ BitRelation RelationEvaluator::Gather(const BitRelation& src,
     if (reads_last) row_constant = false;
     if (reads_last != (i + 1 == k)) row_copy = false;
   }
+  // Decides a base relation's tuple at `s` (in source row `src_row`) unless
+  // it is already known.
+  auto decide = [&](size_t src_row) {
+    if (base->known.TestAt(src_row, s[k - 1])) return;
+    base->known.SetAt(src_row, s[k - 1]);
+    if (RegionAtomHolds(ext_, *atom, s.data())) {
+      base->value.SetAt(src_row, s[k - 1]);
+    }
+  };
   // Tests the source at `s`, deciding a base relation's tuple first.
   auto test = [&] {
     if (base != nullptr) {
       LCDB_CHECK_MSG(k > 0, "nullary region atom");
-      const size_t src_row = src.RowOf(s.data());
-      if (!base->known.TestAt(src_row, s[k - 1])) {
-        base->known.SetAt(src_row, s[k - 1]);
-        if (RegionAtomHolds(ext_, *atom, s.data())) {
-          base->value.SetAt(src_row, s[k - 1]);
-        }
-      }
+      decide(src.RowOf(s.data()));
     }
     return src.Test(s.data());
   };
@@ -560,7 +563,7 @@ BitRelation RelationEvaluator::Gather(const BitRelation& src,
           for (uint64_t need = m[w] & ~known[w]; need != 0;
                need &= need - 1) {
             s[k - 1] = w * 64 + static_cast<size_t>(std::countr_zero(need));
-            test();
+            decide(src_row);
           }
         }
       }
