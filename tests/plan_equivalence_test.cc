@@ -143,11 +143,11 @@ TEST(PlanEquivalenceTest, DecompositionDataFiles) {
 TEST(PlanEquivalenceTest, LeafRouteSweep) {
   // The set-at-a-time evaluator (plan/relation_eval.h) under the tightest
   // tuple budget the canned queries admit, max_tuple_space = n²: no
-  // relation may outgrow its fixpoint's or closure's own tuple space, so
-  // no query trips a budget the per-binding executor did not, and the
-  // answers must not move. Its leaves are the nonempty and rBIT nodes,
-  // filled one binding at a time by the executor: the rBIT query fills
-  // them below lift_bool, and region-pure RegionConn has none.
+  // relation outgrows its fixpoint's or closure's own tuple space, so only
+  // those checks can trip, and the answers must not move. Its leaves are
+  // the nonempty and rBIT nodes, filled one binding at a time by the
+  // executor: the rBIT query fills them below lift_bool, and region-pure
+  // RegionConn has none.
   for (const std::string& name : DataFileNames()) {
     SCOPED_TRACE(name);
     ConstraintDatabase db = Load(name);
