@@ -343,89 +343,60 @@ void BM_PlanOptimizerAblation(benchmark::State& state) {
 BENCHMARK(BM_PlanOptimizerAblation)->Arg(2)->Arg(3)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Backend experiment (EXPERIMENTS.md, "Bytecode VM telemetry"): the
-/// connectivity sentence through the plan-tree executor (Arg 1 = 0) vs the
-/// register-bytecode VM (Arg 1 = 1) on the comb family. The answers are
-/// byte-identical but the work is not: the tree runs the fixpoint
-/// set-at-a-time over bit relations (plan/relation_eval.h), the VM one
-/// binding at a time through dense fixed-width instructions, flat register
-/// slots and inline-cached kernel call sites. So the timing delta compares
-/// the two evaluation strategies, not dispatch alone. Counters expose the
-/// VM's instruction volume and inline-cache economics.
-void BM_VmDispatch(benchmark::State& state) {
-  const size_t teeth = static_cast<size_t>(state.range(0));
-  const bool use_vm = state.range(1) != 0;
-  lcdb::ConstraintDatabase db = lcdb::MakeComb(teeth, /*connected=*/true);
-  auto ext = lcdb::MakeArrangementExtension(db);
-  auto query = lcdb::ParseQuery(lcdb::RegionConnQueryText(), "S");
-  lcdb::Evaluator::Stats last;
-  for (auto _ : state) {
-    lcdb::Evaluator::Options options;
-    options.use_bytecode = use_vm;
-    lcdb::Evaluator evaluator(*ext, options);
-    auto result = evaluator.EvaluateSentence(**query);
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    if (!*result) state.SkipWithError("comb should be connected");
-    last = evaluator.stats();
-    benchmark::DoNotOptimize(*result);
-  }
-  state.counters["regions"] = static_cast<double>(ext->num_regions());
-  state.counters["vm"] = use_vm ? 1 : 0;
-  state.counters["node_evals"] = static_cast<double>(last.node_evaluations);
-  state.counters["vm_instructions"] =
-      static_cast<double>(last.vm.instructions);
-  state.counters["icache_hits"] = static_cast<double>(last.vm.icache_hits);
-  state.counters["icache_misses"] =
-      static_cast<double>(last.vm.icache_misses);
-}
-
-BENCHMARK(BM_VmDispatch)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Unit(benchmark::kMillisecond);
-
 /// Static-verification overhead experiment (EXPERIMENTS.md, "Static
-/// verification telemetry"): the connectivity sentence through the bytecode
-/// VM with the tier-3 verifiers ablated (Arg 0 — the `--no-verify` path:
-/// no plan invariant walk, no abstract-interpretation pass, the VM's
-/// refusal gate waived) and armed (Arg 1 — the default: VerifyPlan after
-/// optimization plus the full bytecode dataflow before the first
-/// instruction executes). Verification is compile-time-only work per
-/// query, so the CI acceptance gate compares the two timings and requires
-/// the Arg(1) tax to stay under 2%. Counters expose the verified volume.
+/// verification telemetry"): the connectivity sentence on comb(3) with the
+/// tier-3 plan verifier ablated (the `--no-verify` path) and armed (the
+/// default: VerifyPlan after optimization). One iteration runs one query
+/// of each kind, in alternating order, so machine drift over the run lands
+/// on both alike. Counters: `off_ms` and `on_ms` are the mean unverified
+/// and verified query times, and `tax` is on/off - 1. Verification is
+/// compile-time-only work per query; the CI acceptance gate requires the
+/// median `tax` to stay under 2%.
 void BM_VerifyOverhead(benchmark::State& state) {
   const size_t teeth = 3;
-  const bool verify = state.range(0) != 0;
   lcdb::ConstraintDatabase db = lcdb::MakeComb(teeth, /*connected=*/true);
   auto ext = lcdb::MakeArrangementExtension(db);
   auto query = lcdb::ParseQuery(lcdb::RegionConnQueryText(), "S");
-  lcdb::Evaluator::Stats last;
-  for (auto _ : state) {
+  auto run = [&](bool verify) {
     lcdb::Evaluator::Options options;
-    options.use_bytecode = true;
     options.verify = verify;
     lcdb::Evaluator evaluator(*ext, options);
     auto result = evaluator.EvaluateSentence(**query);
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    if (!*result) state.SkipWithError("comb should be connected");
-    last = evaluator.stats();
-    benchmark::DoNotOptimize(*result);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+    } else if (!*result) {
+      state.SkipWithError("comb should be connected");
+    }
+    benchmark::DoNotOptimize(result);
+  };
+  uint64_t off_ns = 0;
+  uint64_t on_ns = 0;
+  bool verify_first = false;
+  for (auto _ : state) {
+    for (bool verify : {verify_first, !verify_first}) {
+      const uint64_t start_ns = lcdb::ObsNowNs();
+      run(verify);
+      (verify ? on_ns : off_ns) += lcdb::ObsNowNs() - start_ns;
+    }
+    verify_first = !verify_first;
   }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["off_ms"] = static_cast<double>(off_ns) / 1e6 / iterations;
+  state.counters["on_ms"] = static_cast<double>(on_ns) / 1e6 / iterations;
+  state.counters["tax"] =
+      static_cast<double>(on_ns) / static_cast<double>(off_ns) - 1.0;
+  // The verified volume, from one more verified query outside the timing.
+  lcdb::Evaluator verified(*ext);
+  auto answer = verified.EvaluateSentence(**query);
+  benchmark::DoNotOptimize(answer);
   state.counters["regions"] = static_cast<double>(ext->num_regions());
-  state.counters["verify_enabled"] = verify ? 1 : 0;
   state.counters["plans_verified"] =
-      static_cast<double>(last.verify.plans_verified);
-  state.counters["instructions_verified"] =
-      static_cast<double>(last.verify.instructions_verified);
-  state.counters["loops_verified"] =
-      static_cast<double>(last.verify.loops_verified);
+      static_cast<double>(verified.stats().verify.plans_verified);
+  state.counters["plan_nodes_verified"] =
+      static_cast<double>(verified.stats().verify.plan_nodes_verified);
 }
 
-BENCHMARK(BM_VerifyOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VerifyOverhead)->Unit(benchmark::kMillisecond);
 
 /// Checkpoint/resume acceptance experiment (EXPERIMENTS.md, "Chaos and
 /// resilience telemetry"): the connectivity sentence under four modes.

@@ -20,18 +20,12 @@
 //   --werror           with --lint, promote analyzer warnings to errors:
 //                      the report renders them at error severity and the
 //                      exit code is 1 when any fired (CI gating)
-//   --no-verify        skip the tier-3 static verifiers (plan-IR invariant
-//                      checker + bytecode verifier, analysis/plan_verify.h);
-//                      ablation knob for benchmarking the <2% verify tax
+//   --no-verify        skip the tier-3 static verifier (plan-IR invariant
+//                      checker, analysis/plan_verify.h); ablation knob for
+//                      benchmarking the <2% verify tax
 //   --explain          print the optimized query plan instead of evaluating
 //   --explain-analyze  execute the query and print the plan annotated with
 //                      per-node measured execution (EXPLAIN ANALYZE)
-//   --explain-bytecode print the register-bytecode disassembly of the
-//                      optimized plan instead of evaluating
-//   --vm               execute on the bytecode VM instead of the plan-tree
-//                      walk (answers are byte-identical; requires the
-//                      optimizer, so combining it with --no-optimize is an
-//                      invalid-argument error, never a silent fallback)
 //   --no-optimize      with --explain, print the raw (unoptimized) plan
 //   --timeout <ms>     run under a QueryGovernor with a wall-clock deadline;
 //                      a tripped deadline is a clean error, not a hang.
@@ -117,8 +111,6 @@ int main(int argc, char** argv) {
   bool show_stats = false;
   bool explain = false;
   bool explain_analyze = false;
-  bool explain_bytecode = false;
-  bool use_vm = false;
   bool lint = false;
   bool lint_json = false;
   bool werror = false;
@@ -144,10 +136,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (std::strcmp(argv[i], "--explain-analyze") == 0) {
       explain_analyze = true;
-    } else if (std::strcmp(argv[i], "--explain-bytecode") == 0) {
-      explain_bytecode = true;
-    } else if (std::strcmp(argv[i], "--vm") == 0) {
-      use_vm = true;
     } else if (std::strcmp(argv[i], "--werror") == 0) {
       werror = true;
     } else if (std::strcmp(argv[i], "--no-optimize") == 0) {
@@ -198,7 +186,7 @@ int main(int argc, char** argv) {
                  "usage: lcdbq <database-file> <query> "
                  "[--decomposition] [--stats] [--lint[=json]] [--werror] "
                  "[--explain] "
-                 "[--explain-analyze] [--explain-bytecode] [--vm] "
+                 "[--explain-analyze] "
                  "[--no-optimize] [--no-verify] [--timeout <ms>] "
                  "[--retries <n>] "
                  "[--failpoint=SITE[:skip_hits]] [--trace=out.json] "
@@ -317,14 +305,12 @@ int main(int argc, char** argv) {
   }
   lcdb::Evaluator::Options options;
   options.optimize = optimize;
-  options.use_bytecode = use_vm;
   options.verify = verify;
   lcdb::Evaluator evaluator(*ext, options);
   evaluator.AttachSource(query);  // carets in analyzer rejections
-  if (explain || explain_analyze || explain_bytecode) {
-    auto plan = explain_bytecode ? evaluator.ExplainBytecode(**parsed)
-                : explain_analyze ? evaluator.ExplainAnalyze(**parsed)
-                                  : evaluator.Explain(**parsed);
+  if (explain || explain_analyze) {
+    auto plan = explain_analyze ? evaluator.ExplainAnalyze(**parsed)
+                                : evaluator.Explain(**parsed);
     if (!plan.ok()) {
       std::fprintf(stderr, "error: %s\n", plan.status().ToString().c_str());
       write_trace();

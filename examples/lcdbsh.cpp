@@ -13,8 +13,6 @@
 //   explain analyze <text>         execute and print the plan annotated
 //                                  with per-node timings, kernel hits, and
 //                                  governor consumption
-//   explain bytecode <text>        print the register-bytecode disassembly
-//                                  of the optimized plan (not executed)
 //   use arr|dec                    switch region extension
 //   \set timeout <ms>              per-query wall-clock deadline (0 = off)
 //   \set budget <name> <n>         per-query resource budget; <name> is one
@@ -46,7 +44,7 @@
 // Every query runs through a persistent QuerySession (engine/session.h):
 // budgets reset per attempt, resource trips retry with escalated budgets
 // resuming from fixpoint checkpoints, and persistent faults walk the
-// degradation ladder (vm->tree, memoize->off, trace->off). A failure of
+// degradation ladder (memoize->off, trace->off). A failure of
 // any kind (parse error, type error, tripped budget, injected fault) prints
 // a one-line diagnostic — naming the tripped budget when there is one — and
 // the shell keeps going.
@@ -243,22 +241,17 @@ void CmdLint(Session& session, const std::string& text) {
   std::printf("lint: %s\n", report.stats.ToString().c_str());
 }
 
-/// explain <query> | explain analyze <query> | explain bytecode <query>
+/// explain <query> | explain analyze <query>
 void CmdExplain(Session& session, const std::string& args) {
   std::string_view rest = lcdb::StripWhitespace(args);
   bool analyze = false;
-  bool bytecode = false;
   if (rest.substr(0, 7) == "analyze" &&
       (rest.size() == 7 || rest[7] == ' ')) {
     analyze = true;
     rest = lcdb::StripWhitespace(rest.substr(7));
-  } else if (rest.substr(0, 8) == "bytecode" &&
-             (rest.size() == 8 || rest[8] == ' ')) {
-    bytecode = true;
-    rest = lcdb::StripWhitespace(rest.substr(8));
   }
   if (rest.empty()) {
-    std::printf("usage: explain [analyze|bytecode] <query>\n");
+    std::printf("usage: explain [analyze] <query>\n");
     return;
   }
   // Same per-query governor discipline as CmdQuery: EXPLAIN ANALYZE runs
@@ -273,9 +266,8 @@ void CmdExplain(Session& session, const std::string& args) {
     return;
   }
   lcdb::Evaluator evaluator(*session.ext);
-  auto text = bytecode  ? evaluator.ExplainBytecode(**parsed)
-              : analyze ? evaluator.ExplainAnalyze(**parsed)
-                        : evaluator.Explain(**parsed);
+  auto text = analyze ? evaluator.ExplainAnalyze(**parsed)
+                      : evaluator.Explain(**parsed);
   if (!text.ok()) {
     const lcdb::GovernorStats gstats = governor.stats();
     if (text.status().IsResourceFailure() && !gstats.tripped_budget.empty()) {
@@ -570,7 +562,6 @@ int main() {
             "  lint <text>             static analysis only (LCDB### codes)\n"
             "  explain <text>          print the optimized plan\n"
             "  explain analyze <text>  run the query, print measured plan\n"
-            "  explain bytecode <text> print the plan's VM disassembly\n"
             "  \\set timeout <ms>       per-query deadline (0/'off' disables)\n"
             "  \\set budget <name> <n>  per-query resource budget\n"
             "  \\set retries <n>        session retry budget per query\n"

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -70,6 +72,60 @@ class CostAnalyzer {
   }
 
  private:
+  /// Boolean operators other than the leaves run set-at-a-time in the
+  /// executor's relation module (plan/relation_eval.h). The leaves — the
+  /// element-sort nonempty and rBIT tests — are filled one binding at a
+  /// time, like every symbolic node.
+  static bool RelationEvaluated(const PlanNode& node) {
+    return !node.IsSymbolic() && node.op != PlanOp::kNonEmpty &&
+           node.op != PlanOp::kRbitMember;
+  }
+
+  /// 64-bit words of a relation over `columns` region columns (row-major,
+  /// one padded bit row per assignment of all but the last column).
+  double RelationWords(size_t columns) const {
+    if (columns == 0) return 1.0;
+    const double row_words = static_cast<double>((n_ + 63) / 64);
+    return Capped(
+        PowD(static_cast<double>(n_), columns - 1, kOpsCap) * row_words,
+        kOpsCap);
+  }
+
+  /// Word count of `node`'s relation: its free region variables minus those
+  /// its boundary fixes (a lift_bool's environment; none for fixpoint and
+  /// closure bodies). Variables of region quantifiers inside the boundary
+  /// count as columns, so one relation evaluation prices all the slices a
+  /// quantifier evaluates its body over.
+  double NodeWords(const PlanNode& node) const {
+    auto it = boundary_vars_.find(&node);
+    size_t columns = node.free_region.size();
+    if (it != boundary_vars_.end()) {
+      for (const std::string& v : node.free_region) {
+        if (std::binary_search(it->second.begin(), it->second.end(), v)) {
+          --columns;
+        }
+      }
+    }
+    return RelationWords(columns);
+  }
+
+  /// Records that `child` is evaluated as a relation `evals` more times,
+  /// inside a boundary that fixes `fixed` (name-sorted). A node reached
+  /// from several boundaries keeps only the variables all of them fix.
+  void AddRelationEvals(const PlanNode& child, double evals,
+                        const std::vector<std::string>& fixed) {
+    relation_evals_[&child] =
+        Capped(relation_evals_[&child] + evals, kOpsCap);
+    auto [it, inserted] = boundary_vars_.emplace(&child, fixed);
+    if (!inserted) {
+      std::vector<std::string> common;
+      std::set_intersection(it->second.begin(), it->second.end(),
+                            fixed.begin(), fixed.end(),
+                            std::back_inserter(common));
+      it->second = std::move(common);
+    }
+  }
+
   void Postorder(const PlanNode& node) {
     if (!seen_.insert(&node).second) return;
     for (const PlanPtr& child : node.children) Postorder(*child);
@@ -138,8 +194,15 @@ class CostAnalyzer {
     return space;
   }
 
-  /// Pushes this node's call count into its children and fixes its own
-  /// executions (memo-collapsed). Arrivals of `node` are final here.
+  /// Pushes this node's call counts into its children and fixes its own
+  /// evaluations. Arrivals of `node` are final here.
+  ///
+  /// Two counts flow down. `arrivals_` counts evaluations one binding at a
+  /// time, collapsed by memo marks: symbolic nodes and the relation
+  /// module's leaves are priced by it, per call. `relation_evals_` counts
+  /// set-at-a-time evaluations of the other boolean nodes: once per
+  /// evaluation of their boundary — a lift_bool, a fixpoint stage or a
+  /// closure — each priced at the node's relation word count.
   void Distribute(const PlanNode& node) {
     const double arrivals = arrivals_[&node];
     const double stage_mult = stage_mult_[&node];
@@ -151,8 +214,16 @@ class CostAnalyzer {
       // Dead cache: no key can ever repeat, every store is write-once.
       est.dead_cache = arrivals <= key_space + 0.5;
     }
-    est.est_calls = executions;
-    est.est_bigint_ops = Capped(executions * PerCallOps(node), kOpsCap);
+    if (RelationEvaluated(node)) {
+      const double evals = relation_evals_[&node];
+      est.est_calls = evals;
+      est.est_bigint_ops =
+          Capped(evals * NodeWords(node) + OnceOps(node), kOpsCap);
+    } else {
+      est.est_calls = executions;
+      est.est_bigint_ops = Capped(executions * PerCallOps(node), kOpsCap);
+    }
+    DistributeRelationEvals(node, executions);
 
     // Loop multipliers of this node's children.
     double child_mult = executions;
@@ -190,11 +261,61 @@ class CostAnalyzer {
     }
   }
 
-  /// Node-local BigInt operations of ONE evaluation, as a function of the
-  /// children's row estimates and the column count. The formulas price the
-  /// dominant inner loops of each operator's implementation, not exact
-  /// counts — relative order is what the budget check and the EXPLAIN
-  /// column need.
+  /// The boundary a relation-evaluated child is entered from, and how
+  /// often: a lift_bool once per (memo-collapsed) execution with its own
+  /// free variables fixed, a fixpoint body once per estimated stage, a
+  /// closure body once (its edge rows are its X̄ columns). Inside a
+  /// boundary, a relation node evaluates its operands once per own
+  /// evaluation; the leaves take no relation evaluations.
+  void DistributeRelationEvals(const PlanNode& node, double executions) {
+    static const std::vector<std::string> kNoneFixed;
+    const PlanNode* body =
+        node.children.empty() ? nullptr : node.children[0].get();
+    switch (node.op) {
+      case PlanOp::kLiftBool:
+        AddRelationEvals(*body, executions, node.free_region);
+        return;
+      case PlanOp::kFixpointMember:
+        AddRelationEvals(*body, StageEstimate(node), kNoneFixed);
+        return;
+      case PlanOp::kClosureMember:
+        AddRelationEvals(*body, 1.0, kNoneFixed);
+        return;
+      default:
+        break;
+    }
+    if (!RelationEvaluated(node)) return;
+    const double evals = relation_evals_[&node];
+    const std::vector<std::string>& fixed = boundary_vars_[&node];
+    for (const PlanPtr& child : node.children) {
+      if (RelationEvaluated(*child)) AddRelationEvals(*child, evals, fixed);
+    }
+  }
+
+  /// Word operations a fixpoint or closure operator spends once per query
+  /// on its own set, beside reading it into its parent (the relation module
+  /// caches both per operator): a union and a comparison of the stage set
+  /// per Kleene stage, and Warshall's row ORs over the reachability
+  /// relation.
+  double OnceOps(const PlanNode& node) const {
+    const size_t k = node.bound_vars.size();
+    switch (node.op) {
+      case PlanOp::kFixpointMember:
+        return Capped(StageEstimate(node) * RelationWords(k), kOpsCap);
+      case PlanOp::kClosureMember:
+        return Capped(
+            PowD(static_cast<double>(n_), k / 2, kOpsCap) * RelationWords(k),
+            kOpsCap);
+      default:
+        return 0.0;
+    }
+  }
+
+  /// Node-local BigInt operations of ONE evaluation of a symbolic node or a
+  /// leaf, as a function of the children's row estimates and the column
+  /// count. The formulas price the dominant inner loops of each operator's
+  /// implementation, not exact counts — relative order is what the budget
+  /// check and the EXPLAIN column need.
   double PerCallOps(const PlanNode& node) const {
     const double m = static_cast<double>(m_);
     auto child = [&](size_t i) { return Rows(*node.children[i]); };
@@ -231,22 +352,6 @@ class CostAnalyzer {
       case PlanOp::kExpandForall:
         // The accumulator re-combines once per region iteration.
         return Capped(static_cast<double>(n_) * Rows(node) * m, kOpsCap);
-      case PlanOp::kRegionAtom:
-        return 4.0;  // a few rational comparisons against the extension
-      case PlanOp::kSetMember:
-        return static_cast<double>(node.region_args.size()) + 1.0;
-      case PlanOp::kFixpointMember: {
-        // Per-stage set bookkeeping (the body formula work is priced at
-        // the body nodes via the child multiplier).
-        const double space = PowD(static_cast<double>(n_),
-                                  node.bound_vars.size(), kOpsCap);
-        return Capped(StageEstimate(node) * space, kOpsCap);
-      }
-      case PlanOp::kClosureMember: {
-        const double space = PowD(static_cast<double>(n_),
-                                  node.bound_vars.size(), kOpsCap);
-        return Capped(space * space, kOpsCap);  // matrix + BFS bookkeeping
-      }
       case PlanOp::kRbitMember:
         // Witness extraction + one implication over the body formula,
         // plus the bit reads.
@@ -254,7 +359,7 @@ class CostAnalyzer {
       case PlanOp::kNonEmpty:
         return Capped(child(0) * m * m, kOpsCap);  // one LP per disjunct
       default:
-        return 1.0;  // boolean connectives and constants
+        return 1.0;  // relation-evaluated nodes are priced in Distribute
     }
   }
 
@@ -269,7 +374,8 @@ class CostAnalyzer {
         d.code = "LCDB011";
         d.severity = DiagSeverity::kWarning;
         d.message = "cache-marked subplan '" + PlanOpName(node->op) +
-                    "' can never hit: ~" + Approx(report_.costs.at(node).est_calls) +
+                    "' can never hit: ~" +
+                    Approx(std::min(arrivals_.at(node), KeySpace(*node))) +
                     " estimated evaluation(s) over a memo key space of ~" +
                     Approx(KeySpace(*node));
         d.fix =
@@ -310,6 +416,10 @@ class CostAnalyzer {
   std::vector<const PlanNode*> order_;  // postorder: children before parents
   std::map<const PlanNode*, double> arrivals_;
   std::map<const PlanNode*, double> stage_mult_;
+  /// Set-at-a-time evaluations of relation-evaluated nodes, and the region
+  /// variables their boundary fixes (name-sorted).
+  std::map<const PlanNode*, double> relation_evals_;
+  std::map<const PlanNode*, std::vector<std::string>> boundary_vars_;
 };
 
 }  // namespace

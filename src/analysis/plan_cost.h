@@ -35,16 +35,23 @@ struct PlanCostReport {
 /// plan exists, this pass runs after optimization and prices what will
 /// actually execute:
 ///
-///  * `est_calls` propagates top-down through the DAG — quantifier loops
-///    multiply by their region fan-out, fixpoint bodies by stages x tuple
-///    space, closure bodies by the squared tuple space — and memo-marked
-///    nodes collapse to their key-space size (values of the free region
-///    variables, times the stage count when the node is set-dependent);
+///  * `est_calls` propagates top-down through the DAG. Symbolic nodes and
+///    the relation module's leaves (nonempty, rBIT) are counted one
+///    binding at a time — quantifier loops multiply by their region
+///    fan-out, fixpoint bodies by stages x tuple space, closure bodies by
+///    the squared tuple space — and memo-marked nodes collapse to their
+///    key-space size (values of the free region variables, times the stage
+///    count when the node is set-dependent). Every other boolean node runs
+///    set-at-a-time (plan/relation_eval.h) and is counted once per
+///    evaluation of its boundary: per lift_bool execution, per fixpoint
+///    stage, once per closure;
 ///  * `est_rows` propagates bottom-up (disjunct counts through the DNF
 ///    algebra, with caps);
-///  * `est_bigint_ops` prices each node's own work per call in the
-///    Grimson-Heintz-Kuijpers unit — BigInt arithmetic operations — as a
-///    function of its children's row estimates and the column count.
+///  * `est_bigint_ops` prices each node's own work in the
+///    Grimson-Heintz-Kuijpers unit — BigInt arithmetic operations — per
+///    call as a function of its children's row estimates and the column
+///    count, or, for a set-at-a-time node, as the 64-bit word count of its
+///    relation per evaluation.
 ///
 /// Two diagnostics come out of the estimates:
 ///

@@ -11,10 +11,9 @@ namespace lcdb {
 
 /// Tier-3 static verification of the plan IR (LCDB012).
 ///
-/// The executor and the bytecode lowering trust a long list of structural
-/// invariants that nothing re-checks once the optimizer has rewritten the
-/// tree. `VerifyPlan` re-establishes every one of them over the (possibly
-/// shared) plan DAG:
+/// The executor trusts a long list of structural invariants that nothing
+/// re-checks once the optimizer has rewritten the tree. `VerifyPlan`
+/// re-establishes every one of them over the (possibly shared) plan DAG:
 ///
 ///  * **Mode consistency** — each operator has the arity the executor
 ///    dispatches on, and every child produces the mode (symbolic vs

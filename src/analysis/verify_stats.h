@@ -2,57 +2,18 @@
 #define LCDB_ANALYSIS_VERIFY_STATS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace lcdb {
 
-/// Telemetry of the tier-3 static verifiers (analysis/plan_verify.h,
-/// analysis/bytecode_verify.h). Header-only like AnalysisStats so the
-/// metrics registry can adapt it into the `analysis.verify.*` family
-/// without linking the verifiers themselves.
+/// Telemetry of the tier-3 static verifier (analysis/plan_verify.h).
+/// Header-only like AnalysisStats so the metrics registry can adapt it into
+/// the `analysis.verify.*` family without linking the verifier itself.
 struct VerifyStats {
   /// Plan-IR verification runs and the nodes they walked.
   uint64_t plans_verified = 0;
   uint64_t plan_nodes_verified = 0;
-  /// Bytecode verification runs, and the procs / instructions their
-  /// dataflow covered.
-  uint64_t programs_verified = 0;
-  uint64_t procs_verified = 0;
-  uint64_t instructions_verified = 0;
-  /// Back-edges whose governor-checkpoint discipline was proved (nonzero
-  /// loop.head stride, or an Enter checkpoint inside the loop body).
-  uint64_t loops_verified = 0;
   /// Invariant violations detected (each surfaced as an LCDB012 Status).
   uint64_t violations = 0;
-  /// Tier-2 tightening: procs the dataflow proved unreachable from the
-  /// entry proc, and LCDB011 dead-cache estimates upgraded from heuristic
-  /// to proved because their memo sites sit in unreachable code.
-  uint64_t unreachable_procs = 0;
-  uint64_t dead_caches_proved = 0;
-
-  VerifyStats& operator+=(const VerifyStats& o) {
-    plans_verified += o.plans_verified;
-    plan_nodes_verified += o.plan_nodes_verified;
-    programs_verified += o.programs_verified;
-    procs_verified += o.procs_verified;
-    instructions_verified += o.instructions_verified;
-    loops_verified += o.loops_verified;
-    violations += o.violations;
-    unreachable_procs += o.unreachable_procs;
-    dead_caches_proved += o.dead_caches_proved;
-    return *this;
-  }
-
-  std::string ToString() const {
-    std::string out = "plans=" + std::to_string(plans_verified);
-    out += " plan_nodes=" + std::to_string(plan_nodes_verified);
-    out += " programs=" + std::to_string(programs_verified);
-    out += " procs=" + std::to_string(procs_verified);
-    out += " instructions=" + std::to_string(instructions_verified);
-    out += " loops=" + std::to_string(loops_verified);
-    out += " violations=" + std::to_string(violations);
-    return out;
-  }
 };
 
 }  // namespace lcdb

@@ -1,11 +1,9 @@
 #include "core/evaluator.h"
 
-#include <functional>
 #include <optional>
 #include <set>
 
 #include "analysis/analyzer.h"
-#include "analysis/bytecode_verify.h"
 #include "analysis/plan_verify.h"
 #include "constraint/canonical.h"
 #include "analysis/plan_cost.h"
@@ -14,11 +12,9 @@
 #include "engine/kernel.h"
 #include "engine/obslog.h"
 #include "engine/trace.h"
-#include "plan/bytecode.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
 #include "plan/planner.h"
-#include "plan/vm.h"
 #include "util/interrupt.h"
 #include "util/status.h"
 
@@ -69,16 +65,6 @@ Status CheckTupleSpaces(const FormulaNode& node, size_t num_regions,
         CheckTupleSpaces(*child, num_regions, max_tuple_space));
   }
   return Status::Ok();
-}
-
-/// Rejection shared by Evaluate and ExplainBytecode: bytecode lowering is
-/// defined over *optimized* plans only (register allocation and the memo
-/// descriptors assume the optimizer's annotations), so the combination is
-/// an argument error, never a silent fallback to the tree executor.
-Status BytecodeNeedsOptimizer() {
-  return Status::InvalidArgument(
-      "use_bytecode requires an optimized plan: bytecode lowering is "
-      "defined over optimized plans only — drop --no-optimize or --vm");
 }
 
 /// Start of a phase clock: read only when a flight record is being kept,
@@ -211,7 +197,9 @@ DnfFormula Evaluator::ExecutePhase(const CompiledPlan& plan,
                                    PlanProfile* profile, QueryRecord* record) {
   TraceSpan execute_span("plan.execute");
   const uint64_t start_ns = PhaseStartNs(record);
-  DnfFormula result = ExecutePlan(plan, ext_, options_, &stats_, profile);
+  PlanExecutor executor(plan, ext_, options_, &stats_);
+  if (profile != nullptr) executor.EnableProfiling(profile);
+  DnfFormula result = executor.Run();
   if (record != nullptr) record->execute_ns = ObsNowNs() - start_ns;
   execute_span.Counter("rows", result.disjuncts().size());
   return result;
@@ -228,10 +216,8 @@ Result<QueryAnswer> Evaluator::Evaluate(const FormulaNode& query,
 
 uint64_t Evaluator::ResumeFingerprint(const FormulaNode& query) const {
   // Site ordinals are pre-order positions in the executed plan, which is
-  // determined by the query text plus optimized vs raw plan. memoize and
-  // the tree-vs-VM choice do not move sites — both backends execute the
-  // same plan nodes and share its numbering, so a token survives a VM ->
-  // tree degradation step.
+  // determined by the query text plus optimized vs raw plan. memoize does
+  // not move sites, so a token survives the memoize->off degradation step.
   std::string key = query.ToString();
   key += options_.optimize ? "|opt" : "|raw";
   return StableHash64(key);
@@ -254,7 +240,7 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   if (recorder != nullptr) {
     record.query_hash =
         StableHash64(source_.empty() ? query.ToString() : source_);
-    record.backend = options_.use_bytecode ? "vm" : "tree";
+    record.backend = "tree";
   }
   // Rejections before the kernel window carry no kernel/governor data.
   auto append_early_failure = [&](const Status& status) {
@@ -264,11 +250,6 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     record.status_code = StatusCodeName(status.code());
     recorder->Append(std::move(record));
   };
-  if (options_.use_bytecode && !options_.optimize) {
-    Status rejected = BytecodeNeedsOptimizer();
-    append_early_failure(rejected);
-    return rejected;
-  }
   TraceSpan evaluate_span("evaluate");
   Result<TypeInfo> checked = TypecheckPhase(query, phase_record);
   if (!checked.ok()) {
@@ -279,12 +260,11 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   // The per-operator timings are per-query: without the reset repeated
   // Evaluate calls silently accumulate into one blurred total.
   stats_.op_timings.clear();
-  stats_.vm = VmStats();
 
   // Checkpoint/resume plumbing (core/resume.h). A nonzero token re-installs
   // the ResumeState a prior interrupted run stashed; the collector is
-  // published thread-locally so both plan backends reach it without
-  // signature changes. Tokens are single-use: the stored state is consumed
+  // published thread-locally so the executor reaches it without signature
+  // changes. Tokens are single-use: the stored state is consumed
   // here whether or not the continuation succeeds.
   std::optional<ResumeCollector> resume_collector;
   std::optional<ScopedResumeCollector> scoped_resume;
@@ -304,7 +284,7 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
       resume_states_.erase(stored);
       if (!matches) {
         Status mismatch = Status::InvalidArgument(
-            "resume token does not match this query/backend");
+            "resume token does not match this query/plan");
         append_early_failure(mismatch);
         return mismatch;
       }
@@ -388,7 +368,7 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
     // surface here as the Status naming what went wrong.
     settle();
     Status status = interrupt.status();
-    // The executors' caches are stack-local, so each harvests its completed
+    // The executor's caches are stack-local, so it harvests its completed
     // fixpoint/closure sets into the collector during its own unwind.
     // Anything collected becomes a single-use token on the returned Status.
     if (resume_collector.has_value() && status.IsResourceFailure() &&
@@ -426,80 +406,41 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   return answer;
 }
 
-Result<std::string> Evaluator::CompileAndRender(
-    const FormulaNode& query, PlanCostReport* cost,
-    const std::function<Result<std::string>(const CompiledPlan&)>& render) {
-  LCDB_ASSIGN_OR_RETURN(TypeInfo info, TypecheckPhase(query, nullptr));
-  // Compilation spends kernel work (the analyzer and the folding pass ask
-  // feasibility questions), so the compile-only entry points settle the
-  // ambient counters exactly as Evaluate does — on the success and the
-  // interrupt path alike.
-  const KernelStats kernel_before = CurrentKernel().stats();
-  stats_.governor = GovernorStats();
-  try {
-    CompiledPlan plan;
-    Status compiled = Compile(query, info, &plan, cost, nullptr);
-    Result<std::string> out =
-        compiled.ok() ? render(plan) : Result<std::string>(compiled);
-    SettleAmbient(kernel_before);
-    return out;
-  } catch (const QueryInterrupt& interrupt) {
-    // A budget or injected fault can fire while compiling too.
-    SettleAmbient(kernel_before);
-    return interrupt.status();
-  }
-}
-
 Result<std::string> Evaluator::Explain(const FormulaNode& query) {
   TraceSpan explain_span("explain");
+  LCDB_ASSIGN_OR_RETURN(TypeInfo info, TypecheckPhase(query, nullptr));
+  // Compilation spends kernel work (the analyzer and the folding pass ask
+  // feasibility questions), so Explain settles the ambient counters exactly
+  // as Evaluate does — on the success and the interrupt path alike.
+  const KernelStats kernel_before = CurrentKernel().stats();
+  stats_.governor = GovernorStats();
+  CompiledPlan plan;
   PlanCostReport cost;
-  return CompileAndRender(
-      query, &cost, [&](const CompiledPlan& plan) -> Result<std::string> {
-        if (!options_.optimize) {
-          return PrintPlan(plan) + "-- " + stats_.plan.ToString() + "\n";
-        }
-        // Tier-2 estimates annotate every node line of the explain output
-        // and surface the pass's diagnostics (LCDB011 dead caches, the
-        // cost-refined LCDB004 budget warning) under the plan.
-        std::string out = PrintPlan(plan, nullptr, &cost.costs);
-        out += "-- " + stats_.plan.ToString() + "\n";
-        out += "-- cost: nodes=" + std::to_string(cost.stats.nodes) +
-               " est_bigint_ops=" +
-               std::to_string(cost.stats.total_bigint_ops) +
-               " est_answer_rows=" +
-               std::to_string(cost.stats.est_answer_rows) +
-               " dead_caches=" + std::to_string(cost.stats.dead_caches) +
-               "\n";
-        if (!cost.diagnostics.empty()) {
-          out += RenderDiagnostics(cost.diagnostics, source_);
-        }
-        return out;
-      });
-}
-
-Result<std::string> Evaluator::ExplainBytecode(const FormulaNode& query) {
-  if (!options_.optimize) return BytecodeNeedsOptimizer();
-  TraceSpan explain_span("explain.bytecode");
-  return CompileAndRender(
-      query, nullptr, [&](const CompiledPlan& plan) -> Result<std::string> {
-        BytecodeProgram program = [&] {
-          TraceSpan lower_span("plan.lower");
-          return CompileToBytecode(plan);
-        }();
-        if (options_.verify) {
-          // The listing must stay byte-identical to DisassembleBytecode
-          // (the golden test pins it), so verification only gates — no
-          // footer.
-          TraceSpan verify_span("bytecode.verify");
-          BytecodeVerifyResult verdict = VerifyBytecode(program);
-          AccumulateVerifyStats(verdict, &stats_.verify);
-          if (!verdict.status.ok()) return verdict.status;
-        }
-        stats_.vm = VmStats();
-        stats_.vm.procs = program.procs.size();
-        stats_.vm.code_instructions = program.TotalInstructions();
-        return DisassembleBytecode(program);
-      });
+  Status compiled;
+  try {
+    compiled = Compile(query, info, &plan, &cost, nullptr);
+  } catch (const QueryInterrupt& interrupt) {
+    // A budget or injected fault can fire while compiling too.
+    compiled = interrupt.status();
+  }
+  SettleAmbient(kernel_before);
+  if (!compiled.ok()) return compiled;
+  if (!options_.optimize) {
+    return PrintPlan(plan) + "-- " + stats_.plan.ToString() + "\n";
+  }
+  // Tier-2 estimates annotate every node line of the explain output and
+  // surface the pass's diagnostics (LCDB011 dead caches, the cost-refined
+  // LCDB004 budget warning) under the plan.
+  std::string out = PrintPlan(plan, nullptr, &cost.costs);
+  out += "-- " + stats_.plan.ToString() + "\n";
+  out += "-- cost: nodes=" + std::to_string(cost.stats.nodes) +
+         " est_bigint_ops=" + std::to_string(cost.stats.total_bigint_ops) +
+         " est_answer_rows=" + std::to_string(cost.stats.est_answer_rows) +
+         " dead_caches=" + std::to_string(cost.stats.dead_caches) + "\n";
+  if (!cost.diagnostics.empty()) {
+    out += RenderDiagnostics(cost.diagnostics, source_);
+  }
+  return out;
 }
 
 Result<std::string> Evaluator::ExplainAnalyze(const FormulaNode& query) {
@@ -585,10 +526,9 @@ MetricsSnapshot Evaluator::Stats::ToMetrics() const {
   registry.RegisterPlanPassStats(plan);
   registry.RegisterAnalysisStats(analysis);
   registry.RegisterOpTimings(op_timings);
-  // Always registered (zeros when the tree backend ran / optimization was
-  // off) so the vm.* and plan.cost.* families are schema-stable for the
-  // bench harness and the CI metrics assertions.
-  registry.RegisterVmStats(vm);
+  // Always registered (zeros when optimization was off) so the plan.cost.*
+  // family is schema-stable for the bench harness and the CI metrics
+  // assertions.
   registry.RegisterPlanCostStats(plan_cost);
   // Likewise always registered so analysis.verify.* is schema-stable even
   // under the --no-verify ablation.

@@ -1,7 +1,6 @@
 #ifndef LCDB_CORE_EVALUATOR_H_
 #define LCDB_CORE_EVALUATOR_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,7 +39,7 @@ struct QueryAnswer {
 /// over a region extension. This is the proof of Theorem 4.3 (and the
 /// fixed-point cases of Theorem 6.1) turned into an algorithm, run as the
 /// pipeline typecheck -> analyze -> plan build -> plan optimize -> execute
-/// (plan/planner.h, plan/optimizer.h, and plan/executor.h or plan/vm.h):
+/// (plan/planner.h, plan/optimizer.h, plan/executor.h):
 ///
 ///  * element-sort subformulas are evaluated *symbolically*: each node
 ///    yields a quantifier-free DNF formula over the query's element
@@ -73,16 +72,6 @@ class Evaluator {
     /// are a pass (MarkCacheable) — this is the ablation EXPERIMENTS.md's
     /// optimizer-telemetry row measures.
     bool optimize = true;
-    /// Execute through the register bytecode VM (plan/bytecode.h, plan/vm.h)
-    /// instead of the tree-walking PlanExecutor: the optimized plan is
-    /// flattened to fixed-width instructions with inline-cached kernel call
-    /// sites. Answer formulas, memo behaviour, governor checkpoint cadence
-    /// and op.*/trace telemetry are byte-identical to the tree walk (the
-    /// equivalence tests sweep both); only kernel query *counts* may drop,
-    /// thanks to the inline caches. Requires optimize=true — lowering is
-    /// defined over optimized plans only, and Evaluate fails with
-    /// kInvalidArgument on the combination use_bytecode && !optimize.
-    bool use_bytecode = false;
     /// Checkpoint fixpoint progress (core/resume.h) so a resource failure
     /// returns a Status carrying a resume token and Evaluate(query, token)
     /// continues from the saved stage. The never-tripped cost is one
@@ -90,24 +79,22 @@ class Evaluator {
     /// (BM_ResumeVsRecompute bounds it under 2%); the off switch exists for
     /// that ablation.
     bool capture_resume = true;
-    /// Tier-3 static verification (analysis/plan_verify.h,
-    /// analysis/bytecode_verify.h): the compiled plan is checked after the
-    /// optimizer pipeline (after BuildPlan when optimization is off), and
-    /// lowered bytecode is checked before the VM will run it. A violation
-    /// surfaces as a clean LCDB012 kInternal Status instead of undefined
-    /// executor behaviour. The off switch exists for the BM_VerifyOverhead
-    /// ablation (tax bounded under 2%).
+    /// Tier-3 static verification (analysis/plan_verify.h): the compiled
+    /// plan is checked after the optimizer pipeline (after BuildPlan when
+    /// optimization is off). A violation surfaces as a clean LCDB012
+    /// kInternal Status instead of undefined executor behaviour. The off
+    /// switch exists for the BM_VerifyOverhead ablation (tax bounded under
+    /// 2%).
     bool verify = true;
   };
 
   struct Stats {
     size_t node_evaluations = 0;
     /// Per-binding boolean evaluations: the leaf fills of the relation
-    /// module (plan/relation_eval.h) on the tree executor, every boolean
-    /// node visit on the VM.
+    /// module (plan/relation_eval.h).
     size_t bool_evaluations = 0;
-    /// 64-bit word operations of set-at-a-time relation evaluation (tree
-    /// executor only): the unit its fixpoint and closure work is paid in.
+    /// 64-bit word operations of set-at-a-time relation evaluation: the
+    /// unit its fixpoint and closure work is paid in.
     size_t relation_word_ops = 0;
     size_t memo_hits = 0;
     size_t fixpoint_iterations = 0;
@@ -137,14 +124,9 @@ class Evaluator {
     /// (expensive operators only: QE, region expansion, hull, fixpoints,
     /// closures, rBIT), keyed by PlanOpName. Reset at each Evaluate entry.
     OpTimings op_timings;
-    /// Bytecode-VM telemetry of the most recent Evaluate call (instruction
-    /// count, inline-cache outcomes, program shape). All zeros when the
-    /// tree backend ran; reset at each Evaluate entry like op_timings.
-    VmStats vm;
     /// Tier-3 static-verifier telemetry (analysis/verify_stats.h) of the
-    /// most recent compile: plans/programs verified, dataflow coverage, and
-    /// the proved facts the tier-2 analyzer tightens on. Reset at each
-    /// compile, like `plan` and `plan_cost`.
+    /// most recent compile: plans and nodes verified, violations found.
+    /// Reset at each compile, like `plan` and `plan_cost`.
     VerifyStats verify;
     /// Tier-2 cost-analyzer aggregates of the most recent compile
     /// (analysis/plan_cost.h). Zeros when optimization was off.
@@ -189,7 +171,7 @@ class Evaluator {
   /// every completed fixpoint stage instead of recomputing it. The final
   /// answer is byte-identical to an uninterrupted run. Tokens are
   /// single-use, bound to this evaluator instance, and validated against
-  /// the query text and backend options that produced them (kInvalidArgument
+  /// the query text and plan options that produced them (kInvalidArgument
   /// on mismatch, or on an unknown/expired token). Token 0 degrades to a
   /// plain Evaluate.
   Result<QueryAnswer> Evaluate(const FormulaNode& query,
@@ -214,26 +196,10 @@ class Evaluator {
   /// Stats settle exactly as in Evaluate.
   Result<std::string> ExplainAnalyze(const FormulaNode& query);
 
-  /// Compiles and optimizes the query, lowers the optimized plan to
-  /// register bytecode and returns the disassembled program — procedures,
-  /// instructions with resolved slot names, memo descriptors and the
-  /// inline-cache slot count — without executing it (`lcdbq
-  /// --explain-bytecode`). Fails with kInvalidArgument when
-  /// Options::optimize is off, like evaluation under use_bytecode.
-  Result<std::string> ExplainBytecode(const FormulaNode& query);
-
   const Stats& stats() const { return stats_; }
   const RegionExtension& extension() const { return ext_; }
 
   const Options& options() const { return options_; }
-  /// Degradation hook for QuerySession (engine/session.h): lets the retry
-  /// ladder flip backend knobs (use_bytecode, memoize) between attempts on
-  /// *this* evaluator, because resume tokens are scoped to the instance.
-  /// ResumeFingerprint deliberately treats the VM and the tree executor as
-  /// one backend, so a checkpoint taken on the VM replays after a
-  /// vm->tree degradation; flipping optimize instead changes the
-  /// fingerprint and invalidates outstanding tokens.
-  Options& mutable_options() { return options_; }
 
  private:
   /// Shared engine of Evaluate and ExplainAnalyze: the full pipeline with
@@ -247,10 +213,10 @@ class Evaluator {
 
   // The pipeline phases, named after the flight recorder's phase fields
   // (engine/obslog.h) and opening the trace spans of the same names.
-  // Evaluate, Explain, ExplainAnalyze and ExplainBytecode all run them in
-  // this order; a non-null `record` receives each phase's wall-clock. All
-  // but TypecheckPhase ask the kernel, so they run inside the caller's
-  // kernel window and QueryInterrupt boundary.
+  // Evaluate, Explain and ExplainAnalyze all run them in this order; a
+  // non-null `record` receives each phase's wall-clock. All but
+  // TypecheckPhase ask the kernel, so they run inside the caller's kernel
+  // window and QueryInterrupt boundary.
 
   /// Type checking plus the tuple-space pre-check.
   Result<TypeInfo> TypecheckPhase(const FormulaNode& query,
@@ -271,14 +237,7 @@ class Evaluator {
   Status Compile(const FormulaNode& query, const TypeInfo& info,
                  CompiledPlan* plan, PlanCostReport* cost,
                  QueryRecord* record);
-  /// Shared body of Explain and ExplainBytecode: the typecheck phase, then
-  /// Compile and `render` inside a kernel window and QueryInterrupt
-  /// boundary that settles ambient telemetry on every exit.
-  Result<std::string> CompileAndRender(
-      const FormulaNode& query, PlanCostReport* cost,
-      const std::function<Result<std::string>(const CompiledPlan&)>& render);
-  /// Runs the plan on the tree executor, or on the VM under
-  /// Options::use_bytecode (plan/vm.h's ExecutePlan).
+  /// Runs the plan on the tree executor (plan/executor.h).
   DnfFormula ExecutePhase(const CompiledPlan& plan, PlanProfile* profile,
                           QueryRecord* record);
 
@@ -297,7 +256,7 @@ class Evaluator {
   /// Checkpoints stashed by interrupted Evaluate calls, keyed by the token
   /// carried on the failure Status. `fingerprint` pins the query text and
   /// the site-numbering-relevant options, so a token cannot replay against
-  /// a different query or backend. Bounded (oldest evicted) and single-use.
+  /// a different query or plan. Bounded (oldest evicted) and single-use.
   struct StoredResumeState {
     uint64_t fingerprint = 0;
     ResumeState state;

@@ -9,8 +9,8 @@
 
 namespace lcdb {
 
-/// PFP cycle detection shared by the plan executor (plan/relation_eval.cc)
-/// and the bytecode VM (plan/vm.cc).
+/// PFP cycle detection for the plan executor's Kleene loops
+/// (plan/relation_eval.cc).
 ///
 /// The naive scheme kept every stage's full serialization in an
 /// unordered_set<string>; for a diverging PFP over a large tuple space that
@@ -23,9 +23,8 @@ namespace lcdb {
 /// the real revisit that ends a diverging PFP (once per such operator) or a
 /// 64-bit collision (essentially never, and counted when it happens).
 ///
-/// The stage hash is BitRelation::Hash of the stage's row-major words on
-/// both backends (the VM converts its tuple set first), so hash histories
-/// checkpointed by one backend resume on the other.
+/// The stage hash is BitRelation::Hash of the stage's row-major words; a
+/// resume checkpoint carries the history (ExportHashes / SeedHashes).
 template <typename State>
 class PfpCycleDetector {
  public:

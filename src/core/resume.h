@@ -4,8 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
+
+#include "plan/bit_relation.h"
 
 namespace lcdb {
 
@@ -19,13 +20,12 @@ struct PlanNode;
 /// only ever hold complete entries. The resume layer preserves that paid-for
 /// work across the interrupt instead. While an Evaluate call runs, a
 /// thread-local ResumeCollector (the same ambient-install idiom as
-/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the two fixpoint
-/// engines — the tree executor's relation module (plan/relation_eval.cc) and
-/// the bytecode VM (plan/vm.cc). When an interrupt unwinds, each engine
-/// deposits:
+/// ScopedKernel / ScopedGovernor / ScopedTracer) observes the fixpoint
+/// engine, the tree executor's relation module (plan/relation_eval.cc).
+/// When an interrupt unwinds, it deposits:
 ///
-///  * every *completed* fixpoint set and closure matrix (harvested from the
-///    engine's per-query cache during the unwind), and
+///  * every *completed* fixpoint set and closure relation (harvested from
+///    the engine's per-query cache during the unwind), and
 ///  * for the fixpoint loops the interrupt crossed, the *in-progress*
 ///    approximation: the last fully computed Kleene stage, its iteration
 ///    counter, and — for PFP — the cycle detector's per-stage hash history.
@@ -41,13 +41,15 @@ struct PlanNode;
 /// Sites are keyed by deterministic pre-order ordinals over the fixpoint /
 /// closure operators of the executed plan. Compilation and optimization are
 /// deterministic, so re-evaluating the same query under the same options
-/// assigns identical keys; the tree executor and the VM execute the same
-/// plan, so a state captured under one is resumable under the other.
+/// assigns identical keys.
+///
+/// Sets are stored in the executor's own form, the BitRelation it computed
+/// (plan/bit_relation.h), so capture and restore are copies.
 struct FixpointResumePoint {
   /// The last fully computed Kleene stage (stages are never partial: an
   /// interrupt mid-stage discards only that stage's tuples, and the stage
   /// function is pure, so recomputing it is deterministic).
-  std::set<std::vector<size_t>> approximation;
+  BitRelation approximation;
   /// Number of fully completed stage transitions; the resumed loop continues
   /// at this iteration index.
   size_t iteration = 0;
@@ -59,14 +61,12 @@ struct FixpointResumePoint {
 
 /// Snapshot of recoverable evaluation progress, keyed by site ordinal.
 struct ResumeState {
-  std::map<uint64_t, std::set<std::vector<size_t>>> completed_fixpoints;
-  std::map<uint64_t, std::vector<std::vector<bool>>> completed_closures;
+  /// Completed fixpoint sets (over the bound variables, in binder order)
+  /// and closure reachability relations (over X̄, Ȳ).
+  std::map<uint64_t, BitRelation> completed;
   std::map<uint64_t, FixpointResumePoint> in_progress;
 
-  bool empty() const {
-    return completed_fixpoints.empty() && completed_closures.empty() &&
-           in_progress.empty();
-  }
+  bool empty() const { return completed.empty() && in_progress.empty(); }
 };
 
 /// Per-Evaluate collector the fixpoint engines talk to. Owned by the
@@ -76,9 +76,6 @@ struct ResumeState {
 /// no-op.
 class ResumeCollector {
  public:
-  using TupleSet = std::set<std::vector<size_t>>;
-  using BoolMatrix = std::vector<std::vector<bool>>;
-
   ResumeCollector() = default;
   explicit ResumeCollector(ResumeState seed) : state_(std::move(seed)) {}
 
@@ -95,17 +92,13 @@ class ResumeCollector {
 
   // --- Reuse (consulted at fixpoint/closure entry) ---
 
-  const TupleSet* CompletedFixpoint(uint64_t site) const {
-    auto it = state_.completed_fixpoints.find(site);
-    return it == state_.completed_fixpoints.end() ? nullptr : &it->second;
-  }
-  const BoolMatrix* CompletedClosure(uint64_t site) const {
-    auto it = state_.completed_closures.find(site);
-    return it == state_.completed_closures.end() ? nullptr : &it->second;
+  const BitRelation* Completed(uint64_t site) const {
+    auto it = state_.completed.find(site);
+    return it == state_.completed.end() ? nullptr : &it->second;
   }
   /// Moves the in-progress point for `site` into `*point` and erases it
   /// (each checkpoint is consumed exactly once; the loop that consumed it
-  /// either completes — landing in completed_fixpoints on the next capture —
+  /// either completes — landing in `completed` on the next capture —
   /// or re-checkpoints a fresher approximation).
   bool TakeInProgress(uint64_t site, FixpointResumePoint* point) {
     auto it = state_.in_progress.find(site);
@@ -117,18 +110,15 @@ class ResumeCollector {
 
   // --- Capture (called during an interrupt unwind) ---
 
-  void CaptureInProgress(uint64_t site, TupleSet approximation,
+  void CaptureInProgress(uint64_t site, BitRelation approximation,
                          size_t iteration, std::vector<uint64_t> pfp_hashes) {
     FixpointResumePoint& point = state_.in_progress[site];
     point.approximation = std::move(approximation);
     point.iteration = iteration;
     point.pfp_hashes = std::move(pfp_hashes);
   }
-  void CaptureCompletedFixpoint(uint64_t site, const TupleSet& set) {
-    state_.completed_fixpoints[site] = set;
-  }
-  void CaptureCompletedClosure(uint64_t site, const BoolMatrix& closure) {
-    state_.completed_closures[site] = closure;
+  void CaptureCompleted(uint64_t site, const BitRelation& relation) {
+    state_.completed[site] = relation;
   }
 
   /// Anything worth a resume token?
@@ -157,9 +147,7 @@ class ScopedResumeCollector {
 };
 
 /// Pre-order registration of every kFixpointMember / kClosureMember node in
-/// a plan — shared by the tree executor and the VM (both run the same plan
-/// nodes, so a checkpoint taken under one backend resumes under the other).
-/// CSE-shared subtrees are visited once.
+/// a plan. CSE-shared subtrees are visited once.
 void RegisterResumeSites(const PlanNode& root, ResumeCollector& collector);
 
 }  // namespace lcdb

@@ -217,9 +217,6 @@ void ConstraintKernel::ResetStats() {
 
 void ConstraintKernel::ClearCache() {
   if (lemma_db_ != nullptr) lemma_db_->Clear();
-  // The epoch move is what lets the VM's inline caches observe the clear
-  // (satellite contract: a cleared kernel never serves a stale icache hit).
-  clear_epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace lcdb

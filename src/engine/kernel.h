@@ -1,7 +1,6 @@
 #ifndef LCDB_ENGINE_KERNEL_H_
 #define LCDB_ENGINE_KERNEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -122,16 +121,6 @@ class ConstraintKernel {
   /// lemmas alive across ScopedKernel scopes and kernel teardowns.
   const std::shared_ptr<LemmaDatabase>& lemma_db() const { return lemma_db_; }
 
-  /// Inline-cache invalidation epoch (plan/vm.h): moves whenever cached
-  /// verdict identity changes — ClearCache(), lemma invalidation, lemma-DB
-  /// Clear(). The VM pins (kernel pointer, epoch) per inline-cache slot
-  /// and drops the slot when either moves, so a cleared kernel can never
-  /// serve a stale inline-cache hit.
-  uint64_t CacheEpoch() const {
-    const uint64_t own = clear_epoch_.load(std::memory_order_relaxed);
-    return lemma_db_ != nullptr ? own + lemma_db_->epoch() : own;
-  }
-
   /// Forwards to LemmaDatabase::BindDisjuncts (no-op under memoize off):
   /// indexes the representation's disjuncts so subsequent lemmas
   /// carry occurrence lists. The evaluator calls this once per Evaluate
@@ -140,14 +129,13 @@ class ConstraintKernel {
 
   /// Forwards to LemmaDatabase::InvalidateDisjunct (returns 0 under
   /// memoize off): drops exactly the lemmas whose occurrence lists
-  /// mention `disjunct` and bumps the cache epoch.
+  /// mention `disjunct`.
   size_t InvalidateDisjunct(DisjunctId disjunct);
 
   KernelStats stats() const;
   void ResetStats();
-  /// Drops all cached entries (stats are kept) and bumps the cache epoch.
-  /// This clears the attached lemma store — which may be shared with other
-  /// kernels.
+  /// Drops all cached entries (stats are kept). This clears the attached
+  /// lemma store — which may be shared with other kernels.
   void ClearCache();
 
  private:
@@ -162,7 +150,6 @@ class ConstraintKernel {
   /// at attach/ResetStats time: stats() reports the delta since then.
   LemmaDbStats lemma_baseline_;
   std::shared_ptr<LemmaDatabase> lemma_db_;
-  std::atomic<uint64_t> clear_epoch_{0};
 };
 
 /// The process-wide default kernel (memoizing, default lemma-DB bound).

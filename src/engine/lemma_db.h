@@ -2,7 +2,6 @@
 #define LCDB_ENGINE_LEMMA_DB_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -105,11 +104,9 @@ struct LemmaDbStats {
 /// disjuncts share at least one atom with it. InvalidateDisjunct(i) drops
 /// exactly the live lemmas whose occurrence lists mention disjunct `i` —
 /// the hook incremental re-evaluation needs when one disjunct of the
-/// database changes. Invalidation and Clear() bump the epoch, which the
-/// VM's inline caches compare through ConstraintKernel::CacheEpoch().
+/// database changes.
 ///
-/// Thread safety: all state is guarded by an internal mutex; the epoch is
-/// additionally readable lock-free (relaxed atomic) for the VM fast path.
+/// Thread safety: all state is guarded by an internal mutex.
 class LemmaDatabase {
  public:
   enum class Tier : uint8_t { kCore = 0, kFrequent = 1, kTransient = 2 };
@@ -164,8 +161,8 @@ class LemmaDatabase {
   /// occurrence lists (the lemmas themselves stay — they are pure truths).
   void BindDisjuncts(const DnfFormula& representation);
 
-  /// Drops every live lemma whose occurrence list mentions `disjunct`,
-  /// bumps the epoch, and returns the number dropped.
+  /// Drops every live lemma whose occurrence list mentions `disjunct` and
+  /// returns the number dropped.
   size_t InvalidateDisjunct(DisjunctId disjunct);
 
   /// Live lemmas currently mentioning `disjunct` (what InvalidateDisjunct
@@ -174,17 +171,12 @@ class LemmaDatabase {
 
   // --- Introspection ---
 
-  void Clear();  ///< Drops all lemmas and bumps the epoch (stats kept).
+  void Clear();  ///< Drops all lemmas (stats kept).
   size_t size() const;
   size_t capacity() const { return options_.max_entries; }
   /// Live-entry counts indexed by Tier (core, frequent, transient).
   std::array<size_t, 3> TierCounts() const;
   LemmaDbStats stats() const;
-
-  /// Invalidation epoch: bumped by Clear() and InvalidateDisjunct(). The
-  /// VM's inline caches pin the epoch they were filled under and drop
-  /// slots when it moves (ConstraintKernel::CacheEpoch).
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
  private:
   struct LemmaValue {
@@ -212,12 +204,10 @@ class LemmaDatabase {
   void EraseLocked(uint64_t id, Entry& entry, uint64_t* tier_counter);
   std::vector<DisjunctId> OccurrencesOfLocked(
       const std::vector<LinearAtom>& atoms) const;
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
   const Options options_;
   mutable std::mutex mu_;
   LemmaDbStats stats_;
-  std::atomic<uint64_t> epoch_{0};
 
   uint64_t next_id_ = 0;
   double activity_inc_ = 1.0;

@@ -127,13 +127,7 @@ void MetricsRegistry::RegisterAnalysisStats(const AnalysisStats& s) {
 void MetricsRegistry::RegisterVerifyStats(const VerifyStats& s) {
   Count("analysis.verify.plans", s.plans_verified);
   Count("analysis.verify.plan_nodes", s.plan_nodes_verified);
-  Count("analysis.verify.programs", s.programs_verified);
-  Count("analysis.verify.procs", s.procs_verified);
-  Count("analysis.verify.instructions", s.instructions_verified);
-  Count("analysis.verify.loops", s.loops_verified);
   Count("analysis.verify.violations", s.violations);
-  Count("analysis.verify.unreachable_procs", s.unreachable_procs);
-  Count("analysis.verify.dead_caches_proved", s.dead_caches_proved);
 }
 
 void MetricsRegistry::RegisterOpTimings(const OpTimings& timings) {
@@ -144,16 +138,6 @@ void MetricsRegistry::RegisterOpTimings(const OpTimings& timings) {
       Count("op." + op + ".memo_hits", timing.memo_hits);
     }
   }
-}
-
-void MetricsRegistry::RegisterVmStats(const VmStats& s) {
-  Count("vm.instructions", s.instructions);
-  Count("vm.icache_hits", s.icache_hits);
-  Count("vm.icache_misses", s.icache_misses);
-  Count("vm.icache_invalidations", s.icache_invalidations);
-  Count("vm.icache_bypasses", s.icache_bypasses);
-  Gauge("vm.procs", s.procs);
-  Gauge("vm.code_instructions", s.code_instructions);
 }
 
 void MetricsRegistry::RegisterPlanCostStats(const PlanCostStats& s) {

@@ -93,7 +93,6 @@ class MetricsRegistry {
   void RegisterAnalysisStats(const AnalysisStats& stats);
   void RegisterVerifyStats(const VerifyStats& stats);
   void RegisterOpTimings(const OpTimings& timings);
-  void RegisterVmStats(const VmStats& stats);
   void RegisterPlanCostStats(const PlanCostStats& stats);
 
  private:

@@ -43,7 +43,7 @@ uint64_t ObsNowNs();
 struct QueryRecord {
   uint64_t sequence = 0;    ///< assigned by QueryFlightRecorder::Append
   uint64_t query_hash = 0;  ///< StableHash64 of the query source text
-  std::string backend;      ///< "vm" | "tree" | "none" (no attempt ran)
+  std::string backend;      ///< "tree" | "none" (no attempt ran)
   uint64_t plan_fingerprint = 0;  ///< StableHash64 of the printed plan
 
   // Per-phase wall-clock, nanoseconds. Phases mirror the tracer's span
@@ -53,7 +53,7 @@ struct QueryRecord {
   uint64_t analyze_ns = 0;
   uint64_t plan_build_ns = 0;
   uint64_t plan_optimize_ns = 0;  ///< optimizer passes + tier-2 cost pass
-  uint64_t execute_ns = 0;        ///< plan.execute, tree executor or VM
+  uint64_t execute_ns = 0;        ///< plan.execute (the tree executor)
   uint64_t total_ns = 0;
 
   // Governor consumption of the attempt (zeros when ungoverned).

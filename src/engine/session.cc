@@ -65,23 +65,16 @@ QuerySession::LadderState QuerySession::InitialLadder(
   ladder.trace = options_.trace || force_trace;
   // The fixed drop order DESIGN.md documents: shed the newest/most
   // speculative machinery first, the answer-preserving basics last.
-  if (options_.eval.use_bytecode) ladder.rungs.push_back("vm->tree");
   if (ladder.kernel.memoize) ladder.rungs.push_back("memoize->off");
   if (ladder.trace) ladder.rungs.push_back("trace->off");
   return ladder;
 }
 
-bool QuerySession::Degrade(LadderState& ladder, Evaluator& evaluator,
-                           size_t attempt) {
+bool QuerySession::Degrade(LadderState& ladder, size_t attempt) {
   if (ladder.rungs.empty()) return false;
   const std::string rung = ladder.rungs.front();
   ladder.rungs.erase(ladder.rungs.begin());
-  if (rung == "vm->tree") {
-    // Same evaluator: resume tokens are instance-scoped, and the resume
-    // fingerprint treats VM and tree walk as one backend, so an in-flight
-    // checkpoint replays on the tree side (core/resume.h).
-    evaluator.mutable_options().use_bytecode = false;
-  } else if (rung == "memoize->off") {
+  if (rung == "memoize->off") {
     ladder.kernel.memoize = false;
   } else if (rung == "trace->off") {
     ladder.trace = false;
@@ -127,8 +120,7 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
   Evaluator::Options eval_options = options_.eval;
   if (options_.use_resume) eval_options.capture_resume = true;
   // One evaluator spans every attempt of this call: resume tokens are
-  // scoped to the instance, and the vm->tree rung flips its options in
-  // place so checkpoints survive the drop.
+  // scoped to the instance.
   Evaluator evaluator(ext_, eval_options);
   evaluator.AttachSource(std::string(source));
 
@@ -138,8 +130,8 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
     ++stats_.attempts;
     // Fresh kernel per attempt: a degraded rung must not serve verdicts
     // cached by the configuration that just failed. The shared lemma store
-    // (when configured) survives on purpose — its verdicts are
-    // backend-independent — and a memoize-off kernel ignores it.
+    // (when configured) survives on purpose — its verdicts hold under
+    // every configuration — and a memoize-off kernel ignores it.
     ConstraintKernel kernel(ladder.kernel, options_.lemmas);
     ScopedKernel scoped_kernel(kernel);
     std::unique_ptr<QueryGovernor> governor;
@@ -186,15 +178,15 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
         ++stats_.resumes;
       }
       // Escalation alone did not save the previous retry at this rung:
-      // suspect the backend, not just the budget, and shed a rung too.
+      // suspect the configuration, not just the budget, and shed a rung too.
       if (ladder.resource_failures_at_rung >= 2) {
-        Degrade(ladder, evaluator, attempt);
+        Degrade(ladder, attempt);
       }
       ++stats_.retries;
       continue;
     }
     // kFault: the configuration is suspect; retry only with less of it.
-    if (!Degrade(ladder, evaluator, attempt)) break;
+    if (!Degrade(ladder, attempt)) break;
     ++stats_.retries;
   }
 

@@ -27,7 +27,7 @@ namespace lcdb {
 
 /// One rung dropped by the degradation ladder, for the log the tests pin.
 struct DegradationStep {
-  std::string rung;    ///< "vm->tree", "memoize->off", "trace->off"
+  std::string rung;    ///< "memoize->off", "trace->off"
   size_t attempt = 0;  ///< attempt index (0-based) whose failure dropped it
 };
 
@@ -98,11 +98,10 @@ struct SessionStats {
 ///    `budget_escalation` and retry, continuing from the checkpoint the
 ///    failure Status carried (byte-identical final answers — see
 ///    core/resume.h). A *second* consecutive resource failure at the same
-///    rung also drops a rung: the backend itself may be the problem.
+///    rung also drops a rung: the configuration may be the problem.
 ///  * kFault failures (internal/unsupported) drop one ladder rung and
-///    retry. The rung order is fixed: bytecode VM -> plan-tree walk, kernel
-///    memoization -> off, tracing -> off.
-///    Checkpoints survive the vm->tree drop by design.
+///    retry. The rung order is fixed: kernel memoization -> off, tracing ->
+///    off. Checkpoints survive both drops by design.
 ///  * kInvalid and kCancelled never retry.
 ///
 /// A call that exhausts the ladder counts one deterministic failure
@@ -177,9 +176,9 @@ class QuerySession {
   /// `force_trace` ORs the profiler's sampling decision into the starting
   /// rung, so a sampled call records spans even when options_.trace is off.
   LadderState InitialLadder(bool force_trace) const;
-  /// Drops the next rung, applying it to `ladder` and (for "vm->tree") to
-  /// `evaluator`. Returns false when no rung is left.
-  bool Degrade(LadderState& ladder, Evaluator& evaluator, size_t attempt);
+  /// Drops the next rung, applying it to `ladder`. Returns false when no
+  /// rung is left.
+  bool Degrade(LadderState& ladder, size_t attempt);
   void EscalateBudgets(LadderState& ladder);
   /// The retry loop around one parsed query. `key` is the quarantine key
   /// (the source text).

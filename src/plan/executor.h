@@ -18,9 +18,9 @@ namespace lcdb {
 /// the planner and optimizer only build and rewrite the operator DAG.
 ///
 /// Its recursion fixes the algebra's short-circuits and accumulation order,
-/// so the answer formula is a pure function of the plan: the raw plan, the
-/// optimized plan and the bytecode VM (plan/vm.h) all reproduce the pinned
-/// golden answers (tests/golden/) byte for byte. Caching of symbolic nodes
+/// so the answer formula is a pure function of the plan: the raw and the
+/// optimized plan both reproduce the pinned golden answers (tests/golden/)
+/// byte for byte. Caching of symbolic nodes
 /// and of leaf bindings follows each node's CachePolicy — assigned by the
 /// optimizer's MarkCacheable pass — keyed by the values of the node's free
 /// region variables plus the stage versions of its free set variables.

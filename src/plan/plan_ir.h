@@ -133,8 +133,8 @@ std::string PlanOpName(PlanOp op);
 
 /// Operators whose executions are wall-clocked into Stats::op_timings (the
 /// expensive ones: QE, region expansion, hull, fixpoints, closures, rBIT).
-/// Memo hits on these ops are broken out as OpTiming::memo_hits so per-op
-/// profiles stay comparable between the tree walk and the bytecode VM.
+/// Memo hits on these ops are broken out as OpTiming::memo_hits, so a
+/// memoized re-visit is not mistaken for a cheap execution.
 inline bool IsTimedPlanOp(PlanOp op) {
   switch (op) {
     case PlanOp::kHull:

@@ -58,29 +58,11 @@ struct OpTiming {
   uint64_t total_ns = 0;
   /// Evaluations of this operator served from the executor memo instead of
   /// running (and being timed). Without this the time a memoized re-visit
-  /// *saves* silently inflates the parent's inclusive share — breaking out
-  /// the hit count keeps tree and VM profiles comparable.
+  /// *saves* silently inflates the parent's inclusive share.
   uint64_t memo_hits = 0;
 };
 
 using OpTimings = std::map<std::string, OpTiming>;
-
-/// Telemetry of one bytecode-VM execution (plan/vm.h). Zero when the tree
-/// backend ran; reset at each Evaluate entry like op_timings.
-struct VmStats {
-  /// Instructions the dispatch loop executed.
-  uint64_t instructions = 0;
-  /// Inline-cache outcomes at kernel call sites (kNonEmpty / kRbitFinish):
-  /// hits skip the kernel entirely; invalidations are kernel swaps observed
-  /// under ScopedKernel; bypasses are formulas over the disjunct cap.
-  uint64_t icache_hits = 0;
-  uint64_t icache_misses = 0;
-  uint64_t icache_invalidations = 0;
-  uint64_t icache_bypasses = 0;
-  /// Shape of the lowered program (gauges): procedures and total code size.
-  uint64_t procs = 0;
-  uint64_t code_instructions = 0;
-};
 
 struct PlanNode;
 

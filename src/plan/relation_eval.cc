@@ -689,11 +689,9 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
   ResumeCollector* resume = CurrentResumeCollectorOrNull();
   const uint64_t site = resume != nullptr ? resume->SiteKey(&node) : 0;
   if (site != 0) {
-    if (const auto* done = resume->CompletedFixpoint(site)) {
+    if (const BitRelation* done = resume->Completed(site)) {
       ++stats_->resume_sets_restored;
-      return fixpoints_
-          .emplace(&node, BitRelation::FromTuples(*done, n_, k))
-          .first->second;
+      return fixpoints_.emplace(&node, *done).first->second;
     }
   }
 
@@ -765,7 +763,7 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
     // function of the operator, not of the environment we were called in.
     FixpointResumePoint point;
     if (resume->TakeInProgress(site, &point)) {
-      current = BitRelation::FromTuples(point.approximation, n_, k);
+      current = std::move(point.approximation);
       iteration = point.iteration;
       cycle.SeedHashes(point.pfp_hashes);
       ++stats_->resume_fixpoints_resumed;
@@ -806,7 +804,7 @@ const BitRelation& RelationEvaluator::Fixpoint(const PlanNode& node) {
     if (site != 0) {
       std::vector<uint64_t> pfp_hashes =
           is_pfp ? cycle.ExportHashes(current) : std::vector<uint64_t>{};
-      resume->CaptureInProgress(site, current.ToTuples(), iteration,
+      resume->CaptureInProgress(site, std::move(current), iteration,
                                 std::move(pfp_hashes));
     }
     throw;
@@ -819,6 +817,17 @@ const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
   auto cached = closures_.find(&node);
   if (cached != closures_.end()) return cached->second;
 
+  // Resume fast path (core/resume.h): completed-relation granularity only —
+  // an interrupt mid-edge-build restarts the operator.
+  if (ResumeCollector* resume = CurrentResumeCollectorOrNull()) {
+    if (uint64_t site = resume->SiteKey(&node)) {
+      if (const BitRelation* done = resume->Completed(site)) {
+        ++stats_->resume_sets_restored;
+        return closures_.emplace(&node, *done).first->second;
+      }
+    }
+  }
+
   const size_t m = node.bound_vars.size() / 2;
   // The reachability matrix over m-tuple indices is the relation over
   // (X̄, Ȳ) itself: its rows that start with ū form one contiguous block,
@@ -826,22 +835,6 @@ const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
   BitRelation reach(n_, 2 * m);
   const ReachIndex index{n_, SaturatingPow(n_, m - 1)};
   const size_t block_words = index.block_rows * reach.row_words();
-
-  // Resume fast path (core/resume.h): completed-matrix granularity only — an
-  // interrupt mid-edge-build restarts the operator.
-  if (ResumeCollector* resume = CurrentResumeCollectorOrNull()) {
-    if (uint64_t site = resume->SiteKey(&node)) {
-      if (const auto* done = resume->CompletedClosure(site)) {
-        ++stats_->resume_sets_restored;
-        for (size_t u = 0; u < done->size(); ++u) {
-          for (size_t v = 0; v < done->size(); ++v) {
-            if ((*done)[u][v]) reach.SetAt(index.Row(u, v), index.Bit(v));
-          }
-        }
-        return closures_.emplace(&node, std::move(reach)).first->second;
-      }
-    }
-  }
 
   ScopedOpTimer timer(&stats_->op_timings, node.op);
   ++stats_->closures_computed;
@@ -919,24 +912,11 @@ const BitRelation& RelationEvaluator::Closure(const PlanNode& node) {
 }
 
 void RelationEvaluator::HarvestResumeState(ResumeCollector& resume) const {
-  for (const auto& [node, set] : fixpoints_) {
-    if (uint64_t site = resume.SiteKey(node)) {
-      resume.CaptureCompletedFixpoint(site, set.ToTuples());
-    }
-  }
-  for (const auto& [node, reach] : closures_) {
-    if (uint64_t site = resume.SiteKey(node)) {
-      const size_t m = node->bound_vars.size() / 2;
-      const size_t total = n_ == 0 ? 0 : SaturatingPow(n_, m);
-      const ReachIndex index{n_, SaturatingPow(n_, m - 1)};
-      std::vector<std::vector<bool>> closure(total,
-                                             std::vector<bool>(total, false));
-      for (size_t u = 0; u < total; ++u) {
-        for (size_t v = 0; v < total; ++v) {
-          closure[u][v] = reach.TestAt(index.Row(u, v), index.Bit(v));
-        }
+  for (const auto* cache : {&fixpoints_, &closures_}) {
+    for (const auto& [node, relation] : *cache) {
+      if (uint64_t site = resume.SiteKey(node)) {
+        resume.CaptureCompleted(site, relation);
       }
-      resume.CaptureCompletedClosure(site, closure);
     }
   }
 }

@@ -1,8 +1,10 @@
 // Static query analyzer tests: one triggering query and one near-miss per
 // LCDB diagnostic code, the caret/JSON renderers, span threading from the
 // parser, the Evaluate integration (clean kInvalidArgument with carets),
-// the analysis.* metrics family, and a corpus sweep asserting that every
-// query the test suite actually evaluates is analyzer-error-free.
+// the analysis.* metrics family, the tier-2 plan-cost pass (plan.cost.*
+// metrics, EXPLAIN's cost column and its LCDB004 budget warning), and a
+// corpus sweep asserting that every query the test suite actually
+// evaluates is analyzer-error-free.
 // LCDB_TEST_DATA_DIR / LCDB_TEST_SOURCE_DIR are injected by CMake.
 
 #include <gtest/gtest.h>
@@ -446,6 +448,80 @@ TEST(AnalyzerIntegrationTest, StatsFlowIntoTheMetricsRegistry) {
   ASSERT_TRUE(values.count("analysis.warnings"));
   EXPECT_GE(values.at("analysis.warnings"), 1u);
   EXPECT_GE(values.at("analysis.guards_proved_unsat"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Tier-2 plan-cost pass (analysis/plan_cost.h).
+
+TEST(PlanCostTest, PlanCostStatsExported) {
+  // The tier-2 pass runs on every optimized compile; its aggregates land
+  // in stats and the plan.cost.* metrics family.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
+  ASSERT_TRUE(query.ok());
+  Evaluator evaluator(*ext);
+  ASSERT_TRUE(evaluator.Evaluate(**query).ok());
+  EXPECT_GT(evaluator.stats().plan_cost.nodes, 0u);
+  EXPECT_GT(evaluator.stats().plan_cost.total_bigint_ops, 0u);
+  EXPECT_NE(evaluator.stats().ToJson().find("\"plan.cost.nodes\":"),
+            std::string::npos);
+
+  // Explain carries the cost column and footer.
+  auto explain = evaluator.Explain(**query);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->find("| est: calls="), std::string::npos);
+  EXPECT_NE(explain->find("-- cost: nodes="), std::string::npos);
+}
+
+TEST(PlanCostTest, ExplainRefreshesPlanCost) {
+  // Explain runs the same compile phases as Evaluate, cost pass included,
+  // so stats().plan_cost describes its own query — never the previous
+  // compile's.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto big = ParseQuery(RegionConnQueryText(), db.relation_name());
+  auto small = ParseQuery("exists R . subset(R)", db.relation_name());
+  ASSERT_TRUE(big.ok() && small.ok());
+  Evaluator reference(*ext);
+  ASSERT_TRUE(reference.Evaluate(**small).ok());
+  const PlanCostStats expected = reference.stats().plan_cost;
+
+  Evaluator evaluator(*ext);
+  ASSERT_TRUE(evaluator.Evaluate(**big).ok());
+  ASSERT_NE(evaluator.stats().plan_cost.nodes, expected.nodes);
+  ASSERT_TRUE(evaluator.Explain(**small).ok());
+  EXPECT_EQ(evaluator.stats().plan_cost.nodes, expected.nodes);
+  EXPECT_EQ(evaluator.stats().plan_cost.total_bigint_ops,
+            expected.total_bigint_ops);
+}
+
+TEST(PlanCostTest, BudgetWarningPricesRelationsByWordCount) {
+  constexpr char kCostWarning[] = "warning[LCDB004]: estimated execution cost";
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  // RegionConn's fixpoint body runs set-at-a-time: priced once per stage
+  // at its relations' word counts, it fits the default budget.
+  auto region_conn = ParseQuery(RegionConnQueryText(), db.relation_name());
+  ASSERT_TRUE(region_conn.ok());
+  Evaluator evaluator(*ext);
+  auto explained = evaluator.Explain(**region_conn);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->find(kCostWarning), std::string::npos) << *explained;
+  EXPECT_EQ(evaluator.stats().plan_cost.warnings,
+            evaluator.stats().plan_cost.dead_caches);
+
+  // The literal Conn adds element quantifiers and region expansions, priced
+  // one binding at a time; over a small tuple-space budget it still draws
+  // the warning.
+  auto literal = ParseQuery(ConnQueryText(2), db.relation_name());
+  ASSERT_TRUE(literal.ok());
+  Evaluator::Options tight;
+  tight.max_tuple_space = 1u << 12;  // just above comb(2)'s 63^2 pairs
+  Evaluator budgeted(*ext, tight);
+  auto expensive = budgeted.Explain(**literal);
+  ASSERT_TRUE(expensive.ok()) << expensive.status().ToString();
+  EXPECT_NE(expensive->find(kCostWarning), std::string::npos) << *expensive;
 }
 
 // ---------------------------------------------------------------------------

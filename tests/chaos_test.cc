@@ -155,9 +155,7 @@ TEST_F(ChaosTest, SeededInjectionSweep) {
     const char* site = kEvalSites[rng() % std::size(kEvalSites)];
     const StatusCode code = kCodes[rng() % std::size(kCodes)];
     const uint64_t skip = rng() % 8;
-    Evaluator::Options options;
-    options.use_bytecode = (rng() % 2) == 0;
-    Evaluator evaluator(*c.ext, options);
+    Evaluator evaluator(*c.ext);
 
     ArmFailpoint(site, code, "chaos-injected", skip);
     auto first = evaluator.Evaluate(*c.query);
@@ -243,7 +241,6 @@ TEST_F(ChaosTest, SessionLevelSweep) {
     SCOPED_TRACE("round " + std::to_string(round) + ": " + c.db_name +
                  " :: " + c.query_text);
     SessionOptions options;
-    options.eval.use_bytecode = (rng() % 2) == 0;
     options.max_retries = rng() % 3;
     options.quarantine_threshold = 0;  // never quarantine inside the sweep
     options.postmortem_dir = postmortem_dir;

@@ -1,5 +1,4 @@
-// Fault-injection matrix (util/failpoint.h): every named site, on both
-// execution paths, must surface an injected failure as a clean Status at
+// Fault-injection matrix (util/failpoint.h): every named site must surface an injected failure as a clean Status at
 // the Evaluate boundary — and after disarming, the same evaluator must
 // answer byte-identically to a fresh one, proving the unwind left every
 // kernel cache and memo table consistent.
@@ -83,15 +82,13 @@ TEST(FailpointTest, ArrangementSplitFiresAtBuildTime) {
 /// One matrix cell: inject at `site`, confirm the query dies with the
 /// injected code, disarm, and confirm the surviving evaluator's answer is
 /// byte-identical to a fresh evaluator's.
-void InjectAndRecover(const std::string& site, const std::string& query_text,
-                      bool use_bytecode) {
+void InjectAndRecover(const std::string& site,
+                      const std::string& query_text) {
   FailpointGuard guard;
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed = ParseQuery(query_text, db.relation_name());
   ASSERT_TRUE(parsed.ok()) << query_text;
-  Evaluator::Options options;
-  options.use_bytecode = use_bytecode;
 
   // A fresh kernel isolates this cell from cross-test cache state: the
   // injected unwind crosses *this* kernel's caches, and the byte-identical
@@ -99,89 +96,68 @@ void InjectAndRecover(const std::string& site, const std::string& query_text,
   ConstraintKernel kernel;
   ScopedKernel scoped(kernel);
 
-  Evaluator survivor(*ext, options);
+  Evaluator survivor(*ext);
   ArmFailpoint(site, StatusCode::kInternal, "injected fault");
   auto killed = survivor.Evaluate(**parsed);
   DisarmFailpoint(site);
-  ASSERT_FALSE(killed.ok())
-      << site << " (use_bytecode=" << use_bytecode << ") did not fire";
+  ASSERT_FALSE(killed.ok()) << site << " did not fire";
   EXPECT_EQ(killed.status().code(), StatusCode::kInternal) << site;
   EXPECT_NE(killed.status().message().find(site), std::string::npos);
   EXPECT_GE(FailpointHitCount(site), 1u) << site;
 
   auto after = survivor.Evaluate(**parsed);
   ASSERT_TRUE(after.ok()) << site << ": " << after.status().ToString();
-  Evaluator fresh(*ext, options);
+  Evaluator fresh(*ext);
   auto reference = fresh.Evaluate(**parsed);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(after->ToString(), reference->ToString())
-      << site << " (use_bytecode=" << use_bytecode << ")";
+  EXPECT_EQ(after->ToString(), reference->ToString()) << site;
 }
 
 // conn exercises kernel decisions, QE and the LFP; the TC query exercises
-// closure building. Each site runs on the plan-tree executor (PlanPath) and
-// on the bytecode VM (VmPath).
+// closure building. Each site runs on the plan-tree executor.
 
 TEST(FailpointTest, KernelDecidePlanPath) {
-  InjectAndRecover("kernel.decide", "exists x . S(x, y)", false);
-}
-TEST(FailpointTest, KernelDecideVmPath) {
-  InjectAndRecover("kernel.decide", "exists x . S(x, y)", true);
+  InjectAndRecover("kernel.decide", "exists x . S(x, y)");
 }
 
 TEST(FailpointTest, QeProjectPlanPath) {
-  InjectAndRecover("qe.project", "exists x . S(x, y)", false);
-}
-TEST(FailpointTest, QeProjectVmPath) {
-  InjectAndRecover("qe.project", "exists x . S(x, y)", true);
+  InjectAndRecover("qe.project", "exists x . S(x, y)");
 }
 
 TEST(FailpointTest, FixpointStagePlanPath) {
-  InjectAndRecover("fixpoint.stage", RegionConnQueryText(), false);
-}
-TEST(FailpointTest, FixpointStageVmPath) {
-  InjectAndRecover("fixpoint.stage", RegionConnQueryText(), true);
+  InjectAndRecover("fixpoint.stage", RegionConnQueryText());
 }
 
 TEST(FailpointTest, ClosureBuildPlanPath) {
   InjectAndRecover("closure.build",
-                   "exists A B . ([tc R ; R' : adj(R, R')](A ; B))", false);
-}
-TEST(FailpointTest, ClosureBuildVmPath) {
-  InjectAndRecover("closure.build",
-                   "exists A B . ([tc R ; R' : adj(R, R')](A ; B))", true);
+                   "exists A B . ([tc R ; R' : adj(R, R')](A ; B))");
 }
 
 TEST(FailpointTest, PlanExecutePlanPath) {
-  InjectAndRecover("plan.execute", RegionConnQueryText(), false);
+  InjectAndRecover("plan.execute", RegionConnQueryText());
 }
 
 TEST(FailpointTest, MidFixpointInjectionLeavesCachesConsistent) {
   // Sharper variant of the matrix: die on the *third* Kleene stage, deep
   // inside the LFP, with the shared default kernel already warm — the next
   // evaluation must still be byte-identical to a fresh evaluator's.
-  for (bool use_bytecode : {false, true}) {
-    FailpointGuard guard;
-    ConstraintDatabase db = MakeComb(2, true);
-    auto ext = MakeArrangementExtension(db);
-    auto parsed = ParseQuery(RegionConnQueryText(), db.relation_name());
-    ASSERT_TRUE(parsed.ok());
-    Evaluator::Options options;
-    options.use_bytecode = use_bytecode;
-    Evaluator survivor(*ext, options);
-    ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "mid-fixpoint",
-                 /*skip_hits=*/2);
-    auto killed = survivor.Evaluate(**parsed);
-    DisarmAllFailpoints();
-    ASSERT_FALSE(killed.ok());
-    auto after = survivor.Evaluate(**parsed);
-    ASSERT_TRUE(after.ok()) << after.status().ToString();
-    Evaluator fresh(*ext, options);
-    auto reference = fresh.Evaluate(**parsed);
-    ASSERT_TRUE(reference.ok());
-    EXPECT_EQ(after->ToString(), reference->ToString())
-        << "use_bytecode=" << use_bytecode;
-  }
+  FailpointGuard guard;
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto parsed = ParseQuery(RegionConnQueryText(), db.relation_name());
+  ASSERT_TRUE(parsed.ok());
+  Evaluator survivor(*ext);
+  ArmFailpoint("fixpoint.stage", StatusCode::kInternal, "mid-fixpoint",
+               /*skip_hits=*/2);
+  auto killed = survivor.Evaluate(**parsed);
+  DisarmAllFailpoints();
+  ASSERT_FALSE(killed.ok());
+  auto after = survivor.Evaluate(**parsed);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  Evaluator fresh(*ext);
+  auto reference = fresh.Evaluate(**parsed);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(after->ToString(), reference->ToString());
 }
 
 TEST(FailpointTest, ExplainIsAlsoRecoverable) {

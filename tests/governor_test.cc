@@ -30,13 +30,12 @@ ConstraintDatabase Db1ForPfp() {
 /// Evaluates `text` under `limits` on a fresh kernel (so kernel caches from
 /// other tests cannot absorb the budgeted work) and returns the status.
 Status GovernedStatus(const RegionExtension& ext, const std::string& text,
-                      const GovernorLimits& limits,
-                      Evaluator::Options options = {}) {
+                      const GovernorLimits& limits) {
   ConstraintKernel kernel;
   ScopedKernel scoped_kernel(kernel);
   QueryGovernor governor(limits);
   ScopedGovernor scoped(governor);
-  auto r = EvaluateQueryText(ext, text, options);
+  auto r = EvaluateQueryText(ext, text);
   return r.status();
 }
 
@@ -103,14 +102,9 @@ TEST(GovernorTest, FixpointIterationBudgetTrips) {
   auto ext = MakeArrangementExtension(db);
   GovernorLimits limits;
   limits.max_fixpoint_iterations = 1;  // conn's LFP needs several stages
-  for (bool use_bytecode : {false, true}) {
-    Evaluator::Options options;
-    options.use_bytecode = use_bytecode;
-    Status s = GovernedStatus(*ext, RegionConnQueryText(), limits, options);
-    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
-        << "use_bytecode=" << use_bytecode << ": " << s.ToString();
-    EXPECT_NE(s.message().find("fixpoint"), std::string::npos);
-  }
+  Status s = GovernedStatus(*ext, RegionConnQueryText(), limits);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_NE(s.message().find("fixpoint"), std::string::npos);
 }
 
 TEST(GovernorTest, TupleSpaceBudgetTrips) {
@@ -118,14 +112,9 @@ TEST(GovernorTest, TupleSpaceBudgetTrips) {
   auto ext = MakeArrangementExtension(db);
   GovernorLimits limits;
   limits.max_tuple_space = 10;  // 63^2 pairs in conn's LFP
-  for (bool use_bytecode : {false, true}) {
-    Evaluator::Options options;
-    options.use_bytecode = use_bytecode;
-    Status s = GovernedStatus(*ext, RegionConnQueryText(), limits, options);
-    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
-        << "use_bytecode=" << use_bytecode << ": " << s.ToString();
-    EXPECT_NE(s.message().find("tuple space"), std::string::npos);
-  }
+  Status s = GovernedStatus(*ext, RegionConnQueryText(), limits);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+  EXPECT_NE(s.message().find("tuple space"), std::string::npos);
 }
 
 TEST(GovernorTest, DnfDisjunctBudgetTrips) {
@@ -196,15 +185,13 @@ TEST(GovernorTest, StatsNameTheTrippedBudget) {
 /// The robustness contract: kill a query mid-fixpoint, then answer the same
 /// query on the *same* evaluator without a budget and require the result to
 /// be byte-identical to a fresh evaluator's.
-void PostTripReuseIsByteIdentical(bool use_bytecode) {
+TEST(GovernorTest, PostTripReuseIsByteIdenticalPlanPath) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed = ParseQuery(RegionConnQueryText(), db.relation_name());
   ASSERT_TRUE(parsed.ok());
-  Evaluator::Options options;
-  options.use_bytecode = use_bytecode;
 
-  Evaluator survivor(*ext, options);
+  Evaluator survivor(*ext);
   {
     GovernorLimits limits;
     limits.max_fixpoint_iterations = 2;  // dies inside the conn LFP
@@ -217,34 +204,22 @@ void PostTripReuseIsByteIdentical(bool use_bytecode) {
   auto after = survivor.Evaluate(**parsed);  // ungoverned retry, same object
   ASSERT_TRUE(after.ok()) << after.status().ToString();
 
-  Evaluator fresh(*ext, options);
+  Evaluator fresh(*ext);
   auto reference = fresh.Evaluate(**parsed);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   EXPECT_EQ(after->ToString(), reference->ToString());
 }
 
-TEST(GovernorTest, PostTripReuseIsByteIdenticalPlanPath) {
-  PostTripReuseIsByteIdentical(/*use_bytecode=*/false);
-}
-
-TEST(GovernorTest, PostTripReuseIsByteIdenticalVmPath) {
-  PostTripReuseIsByteIdentical(/*use_bytecode=*/true);
-}
-
 TEST(GovernorTest, TupleSpaceOptionStillAStatus) {
   // The evaluator's own Options::max_tuple_space cap (no governor at all)
-  // reports kResourceExhausted instead of crashing — tree and VM backend.
+  // reports kResourceExhausted instead of crashing.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
-  for (bool use_bytecode : {false, true}) {
-    Evaluator::Options tiny;
-    tiny.use_bytecode = use_bytecode;
-    tiny.max_tuple_space = 100;
-    auto r = EvaluateSentenceText(*ext, RegionConnQueryText(), tiny);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-        << "use_bytecode=" << use_bytecode;
-  }
+  Evaluator::Options tiny;
+  tiny.max_tuple_space = 100;
+  auto r = EvaluateSentenceText(*ext, RegionConnQueryText(), tiny);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(GovernorTest, ExtensionBuildBudgetTripIsAStatus) {
@@ -317,14 +292,9 @@ TEST(GovernorTest, DivergentPfpStillConvergesUnderHashDetection) {
   // the hash hit's replay verification must not change that.
   ConstraintDatabase db = Db1ForPfp();
   auto ext = MakeArrangementExtension(db);
-  for (bool use_bytecode : {false, true}) {
-    Evaluator::Options options;
-    options.use_bytecode = use_bytecode;
-    auto r = EvaluateSentenceText(
-        *ext, "exists A . [pfp M R : !(M(R))](A)", options);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(*r) << "use_bytecode=" << use_bytecode;
-  }
+  auto r = EvaluateSentenceText(*ext, "exists A . [pfp M R : !(M(R))](A)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(*r);
 }
 
 }  // namespace

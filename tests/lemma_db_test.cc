@@ -1,7 +1,7 @@
 // Tests of the activity-managed lemma database (engine/lemma_db.h) and its
 // integration with the constraint kernel: cross-query lemma survival, the
 // ISSUE-mandated InvalidateDisjunct exactness contract, tier-then-activity
-// eviction, epoch movement, and the kernel.lemma.* metrics family.
+// eviction, and the kernel.lemma.* metrics family.
 
 #include <memory>
 #include <string>
@@ -123,16 +123,6 @@ TEST(LemmaDatabaseTest, DecayStepsCountAtInterval) {
   EXPECT_EQ(db.stats().decays, 3u);
 }
 
-TEST(LemmaDatabaseTest, ClearAndInvalidateBumpEpoch) {
-  LemmaDatabase db;
-  const uint64_t e0 = db.epoch();
-  db.Clear();
-  EXPECT_EQ(db.epoch(), e0 + 1);
-  // Invalidation moves the epoch even when nothing is dropped.
-  EXPECT_EQ(db.InvalidateDisjunct(0), 0u);
-  EXPECT_EQ(db.epoch(), e0 + 2);
-}
-
 TEST(LemmaDatabaseTest, OccurrenceListsTrackBoundDisjuncts) {
   DnfFormula rep(1, {Interval(0, 10), Interval(20, 30)});
   LemmaDatabase db;
@@ -237,17 +227,15 @@ TEST(KernelLemmaTest, StatsReportLemmaDeltaSinceAttach) {
   EXPECT_EQ(s.lemma_misses, 0u);
 }
 
-TEST(KernelLemmaTest, ClearCacheDropsLemmasAndMovesEpoch) {
+TEST(KernelLemmaTest, ClearCacheDropsLemmas) {
   ConstraintKernel kernel;
   ASSERT_NE(kernel.lemma_db(), nullptr);
   ScopedKernel scope(kernel);
   const Conjunction conj = ParseConj("x >= 0 & x <= 1");
   CurrentKernel().IsFeasible(conj);
   EXPECT_EQ(kernel.lemma_db()->size(), 1u);
-  const uint64_t epoch = kernel.CacheEpoch();
   kernel.ClearCache();
   EXPECT_EQ(kernel.lemma_db()->size(), 0u);
-  EXPECT_GT(kernel.CacheEpoch(), epoch);
   // The cleared store re-learns on the next query.
   CurrentKernel().IsFeasible(conj);
   EXPECT_EQ(kernel.lemma_db()->size(), 1u);

@@ -59,7 +59,7 @@ TEST(ObsLogTest, RecordToJsonCarriesTheSchema) {
   QueryRecord r;
   r.sequence = 7;
   r.query_hash = 42;
-  r.backend = "vm";
+  r.backend = "tree";
   r.plan_fingerprint = 99;
   r.typecheck_ns = 10;
   r.execute_ns = 20;
@@ -74,7 +74,7 @@ TEST(ObsLogTest, RecordToJsonCarriesTheSchema) {
             std::string::npos);
   EXPECT_NE(json.find("\"seq\":7"), std::string::npos);
   EXPECT_NE(json.find("\"query_hash\":42"), std::string::npos);
-  EXPECT_NE(json.find("\"backend\":\"vm\""), std::string::npos);
+  EXPECT_NE(json.find("\"backend\":\"tree\""), std::string::npos);
   EXPECT_NE(json.find("\"plan_fingerprint\":99"), std::string::npos);
   EXPECT_NE(json.find("\"phase_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"governor\""), std::string::npos);
@@ -185,41 +185,15 @@ TEST(ObsLogTest, EvaluatorAppendsOneRecordPerCall) {
   const QueryRecord r2 = recorder.Tail(1)[0];
   EXPECT_EQ(r2.outcome, "invalid");
   EXPECT_EQ(r2.plan_fingerprint, 0u);
-}
-
-TEST(ObsLogTest, BytecodeWithoutOptimizerRejectionAppendsOneRecord) {
-  // use_bytecode && !optimize is rejected before typecheck; that exit path
-  // must still append exactly one record, naming the backend it rejected.
-  auto ext = TinyExtension();
-  QueryFlightRecorder recorder;
-  ScopedFlightRecorder scoped(recorder);
-  auto parsed = ParseQuery("exists x . (S(x) & x > 2)", "S");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Evaluator::Options options;
-  options.use_bytecode = true;
-  options.optimize = false;
-  Evaluator evaluator(*ext, options);
-  auto rejected = evaluator.Evaluate(**parsed);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  ASSERT_EQ(recorder.appended(), 1u);
-  const QueryRecord r = recorder.Tail(1)[0];
-  EXPECT_EQ(r.backend, "vm");
-  EXPECT_EQ(r.outcome, "invalid");
-  EXPECT_EQ(r.status_code, "invalid_argument");
-  EXPECT_EQ(r.plan_fingerprint, 0u);
 
   // Under a QuerySession the attempt's own record stands; the session does
   // not synthesize a backend "none" record beside it.
-  SessionOptions session_options;
-  session_options.eval = options;
-  QuerySession session(*ext, session_options);
-  ASSERT_FALSE(session.Evaluate("exists x . (S(x) & x > 2)").ok());
-  ASSERT_EQ(recorder.appended(), 2u);
+  QuerySession session(*ext, SessionOptions{});
+  ASSERT_FALSE(session.Evaluate("S(x, y)").ok());
+  ASSERT_EQ(recorder.appended(), 3u);
   const QueryRecord s = recorder.Tail(1)[0];
-  EXPECT_EQ(s.backend, "vm");
+  EXPECT_EQ(s.backend, "tree");
   EXPECT_EQ(s.outcome, "invalid");
-  EXPECT_EQ(s.status_code, "invalid_argument");
 }
 
 TEST(ObsLogTest, TraceSpansDroppedIsExported) {
@@ -301,7 +275,7 @@ TEST(ObsLogTest, PostmortemWriterIsABoundedRing) {
   b.status_code = "internal";
   b.status_message = "boom";
   b.failure_class = "fault";
-  b.ladder.push_back("vm->tree@1");
+  b.ladder.push_back("memoize->off@1");
   for (int i = 0; i < 3; ++i) {
     auto path = writer.Write(b);
     ASSERT_TRUE(path.ok()) << path.status().ToString();
@@ -325,7 +299,8 @@ TEST(ObsLogTest, PostmortemWriterIsABoundedRing) {
             std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos)  // escaped
       << json;
-  EXPECT_NE(json.find("\"ladder\":[\"vm->tree@1\"]"), std::string::npos);
+  EXPECT_NE(json.find("\"ladder\":[\"memoize->off@1\"]"),
+            std::string::npos);
 }
 
 TEST(ObsLogTest, SessionSamplesExactlyEveryNthQuery) {

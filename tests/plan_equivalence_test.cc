@@ -2,10 +2,9 @@
 // seed database in data/, under both the arrangement and the decomposition
 // extension, and every canned query from core/queries.h must produce
 // *byte-identical* QueryAnswer formulas through
-//   (a) the raw plan (optimize = false),
-//   (b) the optimized plan (optimize = true), and
-//   (c) the bytecode VM over the optimized plan (use_bytecode = true),
-//       traced and untraced — tracing must never change an answer.
+//   (a) the raw plan (optimize = false), and
+//   (b) the optimized plan (optimize = true), traced and untraced —
+//       tracing must never change an answer.
 // Each mode diffs against the pinned golden corpus (tests/golden.h), not
 // against another mode. The optimizer's contract is representation
 // preservation, not mere logical equivalence, so the comparison is on
@@ -43,17 +42,14 @@ ConstraintDatabase Load(const std::string& name) {
 struct Mode {
   const char* name;
   bool optimize;
-  bool use_bytecode;
 };
-constexpr Mode kRaw{"raw plan", false, false};
-constexpr Mode kOptimized{"optimized plan", true, false};
-constexpr Mode kVm{"bytecode VM", true, true};
+constexpr Mode kRaw{"raw plan", false};
+constexpr Mode kOptimized{"optimized plan", true};
 
 std::string AnswerVia(const RegionExtension& ext, const FormulaNode& query,
                       const Mode& mode, bool memoize = true) {
   Evaluator::Options options;
   options.optimize = mode.optimize;
-  options.use_bytecode = mode.use_bytecode;
   options.memoize = memoize;
   Evaluator evaluator(ext, options);
   auto answer = evaluator.Evaluate(query);
@@ -76,14 +72,14 @@ void ExpectModesMatchGolden(const std::string& instance,
   };
   if (check_raw) expect(kRaw);
   expect(kOptimized);
-  expect(kVm);
   {
-    // Traced VM run: span emission sits on the dispatch hot path, so it is
-    // swept too — tracing must be observation only.
+    // Traced run: span emission sits inside the fixpoint stages and the
+    // executor's operators, so it is swept too — tracing must be
+    // observation only.
     QueryTracer tracer;
     ScopedTracer scoped(tracer);
-    ExpectGoldenAnswer(instance, text, AnswerVia(ext, **query, kVm),
-                       "traced bytecode VM");
+    ExpectGoldenAnswer(instance, text, AnswerVia(ext, **query, kOptimized),
+                       "traced optimized plan");
   }
 }
 
@@ -244,18 +240,15 @@ TEST(PlanEquivalenceTest, MemoizationOffAgrees) {
   const std::string text = RegionConnQueryText();
   auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok());
-  for (const Mode& mode : {kOptimized, kVm}) {
-    ExpectGoldenAnswer(kComb2, text,
-                       AnswerVia(*ext, **query, mode, /*memoize=*/false),
-                       std::string(mode.name) + " (memoize off)");
-  }
+  ExpectGoldenAnswer(kComb2, text,
+                     AnswerVia(*ext, **query, kOptimized, /*memoize=*/false),
+                     std::string(kOptimized.name) + " (memoize off)");
 }
 
 TEST(PlanEquivalenceTest, KernelBackendSweep) {
   // Kernel-backend sweep: the activity-managed lemma database and
-  // memoize-off must both match the golden answers, on both the tree walk
-  // and the bytecode VM, across the data/ seed databases and the canned
-  // query set. Lemma truth is a pure function of the canonical encoding, so
+  // memoize-off must both match the golden answers across the data/ seed
+  // databases and the canned query set. Lemma truth is a pure function of the canonical encoding, so
   // the backend can only change hit rates — this sweep is the executable
   // form of that contract.
   for (bool memoize : {true, false}) {
@@ -271,10 +264,9 @@ TEST(PlanEquivalenceTest, KernelBackendSweep) {
         kernel_options.memoize = memoize;
         ConstraintKernel kernel(kernel_options);
         ScopedKernel scope(kernel);
-        for (const Mode& mode : {kOptimized, kVm}) {
-          ExpectGoldenAnswer(InstanceOf(name), text,
-                             AnswerVia(*ext, **query, mode), mode.name);
-        }
+        ExpectGoldenAnswer(InstanceOf(name), text,
+                           AnswerVia(*ext, **query, kOptimized),
+                           kOptimized.name);
       }
     }
   }
@@ -284,42 +276,37 @@ TEST(PlanEquivalenceTest, InterruptResumeSweep) {
   // Checkpoint/resume equivalence (core/resume.h): interrupt the Kleene
   // loop at stage k via the fixpoint.stage failpoint, resume with the token
   // the failure Status carries, and require the final answer byte-identical
-  // to the golden one — across every backend (plan tree, bytecode VM) x
-  // kernel memoization (lemma DB, off) x interrupt stage.
+  // to the golden one — across kernel memoization (lemma DB, off) x
+  // interrupt stage.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   const std::string text = RegionConnQueryText();
   auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok()) << query.status().ToString();
-  for (const Mode& mode : {kOptimized, kVm}) {
-    SCOPED_TRACE(mode.name);
-    for (bool memoize : {true, false}) {
-      SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
-      ConstraintKernel::Options kernel_options;
-      kernel_options.memoize = memoize;
-      ConstraintKernel kernel(kernel_options);
-      ScopedKernel scope(kernel);
-      Evaluator::Options options;
-      options.use_bytecode = mode.use_bytecode;
-      for (uint64_t stage : {0u, 1u, 2u}) {
-        SCOPED_TRACE("interrupt at stage " + std::to_string(stage));
-        Evaluator evaluator(*ext, options);
-        ArmFailpoint("fixpoint.stage", StatusCode::kResourceExhausted,
-                     "injected stage interrupt", stage);
-        auto interrupted = evaluator.Evaluate(**query);
-        DisarmAllFailpoints();
-        ASSERT_FALSE(interrupted.ok());
-        ASSERT_TRUE(interrupted.status().IsResourceFailure());
-        const uint64_t token = interrupted.status().resume_token();
-        ASSERT_NE(token, 0u) << "resource failure carried no resume token";
-        auto resumed = evaluator.Evaluate(**query, token);
-        ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-        ExpectGoldenAnswer(kComb2, text, resumed->ToString(),
-                           std::string(mode.name) + " (resumed)");
-        const Evaluator::Stats& s = evaluator.stats();
-        EXPECT_GT(s.resume_fixpoints_resumed + s.resume_sets_restored, 0u)
-            << "resume did not reuse the checkpoint";
-      }
+  for (bool memoize : {true, false}) {
+    SCOPED_TRACE(memoize ? "lemma-db" : "memoize-off");
+    ConstraintKernel::Options kernel_options;
+    kernel_options.memoize = memoize;
+    ConstraintKernel kernel(kernel_options);
+    ScopedKernel scope(kernel);
+    for (uint64_t stage : {0u, 1u, 2u}) {
+      SCOPED_TRACE("interrupt at stage " + std::to_string(stage));
+      Evaluator evaluator(*ext);
+      ArmFailpoint("fixpoint.stage", StatusCode::kResourceExhausted,
+                   "injected stage interrupt", stage);
+      auto interrupted = evaluator.Evaluate(**query);
+      DisarmAllFailpoints();
+      ASSERT_FALSE(interrupted.ok());
+      ASSERT_TRUE(interrupted.status().IsResourceFailure());
+      const uint64_t token = interrupted.status().resume_token();
+      ASSERT_NE(token, 0u) << "resource failure carried no resume token";
+      auto resumed = evaluator.Evaluate(**query, token);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      ExpectGoldenAnswer(kComb2, text, resumed->ToString(),
+                         std::string(kOptimized.name) + " (resumed)");
+      const Evaluator::Stats& s = evaluator.stats();
+      EXPECT_GT(s.resume_fixpoints_resumed + s.resume_sets_restored, 0u)
+          << "resume did not reuse the checkpoint";
     }
   }
 }
@@ -335,55 +322,21 @@ TEST(PlanEquivalenceTest, ResumeRestoresCompletedFixpoints) {
       "(" + RegionConnQueryText() + ") & (" + RegionConnTcQueryText() + ")";
   auto query = ParseQuery(text, db.relation_name());
   ASSERT_TRUE(query.ok()) << query.status().ToString();
-  for (bool use_bytecode : {false, true}) {
-    SCOPED_TRACE(use_bytecode ? "vm" : "tree");
-    Evaluator::Options options;
-    options.use_bytecode = use_bytecode;
-    Evaluator reference_evaluator(*ext, options);
-    auto reference = reference_evaluator.Evaluate(**query);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    Evaluator evaluator(*ext, options);
-    ArmFailpoint("closure.build", StatusCode::kDeadlineExceeded,
-                 "injected post-fixpoint interrupt");
-    auto interrupted = evaluator.Evaluate(**query);
-    DisarmAllFailpoints();
-    ASSERT_FALSE(interrupted.ok());
-    const uint64_t token = interrupted.status().resume_token();
-    ASSERT_NE(token, 0u);
-    auto resumed = evaluator.Evaluate(**query, token);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    EXPECT_EQ(resumed->ToString(), reference->ToString());
-    EXPECT_GT(evaluator.stats().resume_sets_restored, 0u);
-  }
-}
-
-TEST(PlanEquivalenceTest, ResumeSurvivesVmToTreeDegradation) {
-  // The QuerySession's vm->tree rung: a checkpoint captured on the VM must
-  // replay on the tree executor (site keys are shared plan ordinals and the
-  // resume fingerprint treats the two as one backend).
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
-  ASSERT_TRUE(query.ok());
-  Evaluator::Options tree_options;
-  Evaluator tree_reference(*ext, tree_options);
-  auto reference = tree_reference.Evaluate(**query);
-  ASSERT_TRUE(reference.ok());
-  Evaluator::Options options;
-  options.use_bytecode = true;
-  Evaluator evaluator(*ext, options);
-  ArmFailpoint("fixpoint.stage", StatusCode::kResourceExhausted,
-               "injected stage interrupt", 1);
+  Evaluator reference_evaluator(*ext);
+  auto reference = reference_evaluator.Evaluate(**query);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  Evaluator evaluator(*ext);
+  ArmFailpoint("closure.build", StatusCode::kDeadlineExceeded,
+               "injected post-fixpoint interrupt");
   auto interrupted = evaluator.Evaluate(**query);
   DisarmAllFailpoints();
   ASSERT_FALSE(interrupted.ok());
   const uint64_t token = interrupted.status().resume_token();
   ASSERT_NE(token, 0u);
-  evaluator.mutable_options().use_bytecode = false;  // degrade to the tree
   auto resumed = evaluator.Evaluate(**query, token);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->ToString(), reference->ToString());
-  EXPECT_GT(evaluator.stats().resume_fixpoints_resumed, 0u);
+  EXPECT_GT(evaluator.stats().resume_sets_restored, 0u);
 }
 
 TEST(PlanEquivalenceTest, ResumeTokenValidation) {
@@ -419,24 +372,6 @@ TEST(PlanEquivalenceTest, ResumeTokenValidation) {
   // Token 0 is a plain evaluation.
   auto plain = evaluator.Evaluate(**query, 0);
   EXPECT_TRUE(plain.ok()) << plain.status().ToString();
-}
-
-TEST(PlanEquivalenceTest, BytecodeRequiresOptimizedPlan) {
-  // Lowering is defined over optimized plans only; the combination must be
-  // a clean argument error, never a silent fallback to the tree walk.
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  auto query = ParseQuery("exists y . (S(y) & y >= 0)", db.relation_name());
-  ASSERT_TRUE(query.ok());
-  Evaluator::Options options;
-  options.use_bytecode = true;
-  options.optimize = false;
-  Evaluator evaluator(*ext, options);
-  auto answer = evaluator.Evaluate(**query);
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(answer.status().message().find("optimized plan"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -76,7 +76,6 @@ TEST_F(SessionTest, LadderDropsRungsInOrderOnPersistentFault) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   SessionOptions options;
-  options.eval.use_bytecode = true;
   options.trace = true;
   options.max_retries = 10;
   options.quarantine_threshold = 100;
@@ -87,32 +86,30 @@ TEST_F(SessionTest, LadderDropsRungsInOrderOnPersistentFault) {
   EXPECT_EQ(answer.status().code(), StatusCode::kInternal);
   // Every rung dropped, newest machinery first, then nothing left to shed.
   const auto& log = session.degradation_log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].rung, "vm->tree");
-  EXPECT_EQ(log[1].rung, "memoize->off");
-  EXPECT_EQ(log[2].rung, "trace->off");
-  EXPECT_EQ(session.stats().degradations, 3u);
-  EXPECT_EQ(session.stats().retries, 3u);
-  EXPECT_EQ(session.stats().attempts, 4u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].rung, "memoize->off");
+  EXPECT_EQ(log[1].rung, "trace->off");
+  EXPECT_EQ(session.stats().degradations, 2u);
+  EXPECT_EQ(session.stats().retries, 2u);
+  EXPECT_EQ(session.stats().attempts, 3u);
   EXPECT_EQ(session.stats().failures, 1u);
 }
 
 TEST_F(SessionTest, PersistentPlanFaultDegradesThenSessionRecovers) {
   // A persistent fault at the plan-executor entry fails every attempt; the
-  // ladder still degrades in order (vm->tree first). Once the fault is
+  // ladder still degrades in order (memoize->off first). Once the fault is
   // disarmed the *same* session serves the query again — a failed call
   // must leave no residue beyond its quarantine streak.
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   SessionOptions options;
-  options.eval.use_bytecode = true;
   options.quarantine_threshold = 100;
   QuerySession session(*ext, options);
   ArmFailpoint("plan.execute", StatusCode::kInternal, "injected fault");
   auto failed = session.Evaluate(RegionConnQueryText());
   ASSERT_FALSE(failed.ok());
   EXPECT_GE(session.stats().degradations, 1u);
-  EXPECT_EQ(session.degradation_log().front().rung, "vm->tree");
+  EXPECT_EQ(session.degradation_log().front().rung, "memoize->off");
   DisarmAllFailpoints();
   // The fault gone, the same session answers again (no quarantine yet).
   auto truth = session.EvaluateSentence(RegionConnQueryText());

@@ -2,7 +2,7 @@
 // nesting, counters, the bounded ring), the stable span-tree golden over a
 // full evaluation on a fresh kernel, the Chrome trace-event exporter's
 // schema, and the contract that installing a tracer never changes query
-// results on either execution path.
+// results.
 
 #include <gtest/gtest.h>
 
@@ -221,22 +221,20 @@ TEST(TraceTest, CountersReachTheJsonArgs) {
   EXPECT_NE(json.find("\"parent\":0"), std::string::npos);
 }
 
-/// Installing a tracer must never change what a query returns — on either
-/// execution path. (The tracer only observes; results stay byte-identical.)
-void TracedResultsAreByteIdentical(bool use_bytecode) {
+/// Installing a tracer must never change what a query returns. (The tracer
+/// only observes; results stay byte-identical.)
+TEST(TraceTest, TracedResultsAreByteIdenticalPlanPath) {
   ConstraintDatabase db = MakeComb(2, true);
   auto ext = MakeArrangementExtension(db);
   auto parsed =
       ParseQuery("exists x . S(x, y)", db.relation_name());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Evaluator::Options options;
-  options.use_bytecode = use_bytecode;
 
   std::string untraced;
   {
     ConstraintKernel kernel;
     ScopedKernel scoped_kernel(kernel);
-    Evaluator evaluator(*ext, options);
+    Evaluator evaluator(*ext);
     auto r = evaluator.Evaluate(**parsed);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     untraced = r->ToString();
@@ -247,21 +245,13 @@ void TracedResultsAreByteIdentical(bool use_bytecode) {
     ScopedKernel scoped_kernel(kernel);
     QueryTracer tracer;
     ScopedTracer scoped(tracer);
-    Evaluator evaluator(*ext, options);
+    Evaluator evaluator(*ext);
     auto r = evaluator.Evaluate(**parsed);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     traced = r->ToString();
     EXPECT_GT(tracer.spans_retained(), 0u);
   }
-  EXPECT_EQ(untraced, traced) << "use_bytecode=" << use_bytecode;
-}
-
-TEST(TraceTest, TracedResultsAreByteIdenticalPlanPath) {
-  TracedResultsAreByteIdentical(/*use_bytecode=*/false);
-}
-
-TEST(TraceTest, TracedResultsAreByteIdenticalVmPath) {
-  TracedResultsAreByteIdentical(/*use_bytecode=*/true);
+  EXPECT_EQ(untraced, traced);
 }
 
 }  // namespace

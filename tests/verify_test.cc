@@ -1,8 +1,7 @@
-// Tests for the tier-3 static verifiers (analysis/plan_verify.h,
-// analysis/bytecode_verify.h): corpus acceptance with zero false positives,
-// hand-built violations of every plan invariant class, hand-mutated
-// bytecode violations, the VM's refusal of unverified programs, the
-// --no-verify ablation, and the analysis.verify.* metrics family.
+// Tests for the tier-3 static verifier (analysis/plan_verify.h): corpus
+// acceptance with zero false positives, hand-built violations of every plan
+// invariant class, the --no-verify ablation, and the analysis.verify.*
+// metrics family.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/bytecode_verify.h"
 #include "analysis/plan_verify.h"
 #include "core/evaluator.h"
 #include "core/parser.h"
@@ -20,11 +18,8 @@
 #include "db/region_extension.h"
 #include "db/workloads.h"
 #include "engine/kernel.h"
-#include "plan/bytecode.h"
 #include "plan/optimizer.h"
 #include "plan/planner.h"
-#include "plan/vm.h"
-#include "util/interrupt.h"
 #include "util/status.h"
 
 namespace lcdb {
@@ -51,16 +46,6 @@ PlanPtr Node(PlanOp op) {
   auto n = std::make_shared<PlanNode>();
   n->op = op;
   return n;
-}
-
-/// DFS for the first node satisfying `pred` (plans are DAGs; first match in
-/// preorder). Returns nullptr when none matches.
-PlanNode* FindNode(PlanNode* node, bool (*pred)(const PlanNode&)) {
-  if (pred(*node)) return node;
-  for (const PlanPtr& child : node->children) {
-    if (PlanNode* hit = FindNode(child.get(), pred)) return hit;
-  }
-  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,229 +165,27 @@ TEST(PlanVerifyTest, RejectsUnclosedRoot) {
   ExpectPlanRejected(*root, "plan not closed");
 }
 
-// ---------------------------------------------------------------------------
-// Bytecode verifier: acceptance + hand-mutated violations.
-
-BytecodeProgram CompileProgram(const RegionExtension& ext,
-                               const std::string& text) {
-  return CompileToBytecode(CompilePlan(ext, text));
-}
-
-void ExpectBytecodeRejected(const BytecodeProgram& program,
-                            const std::string& substring) {
-  BytecodeVerifyResult result = VerifyBytecode(program);
-  ASSERT_FALSE(result.status.ok())
-      << "expected rejection containing '" << substring << "'";
-  EXPECT_EQ(result.status.code(), StatusCode::kInternal);
-  EXPECT_NE(result.status.message().find("LCDB012"), std::string::npos)
-      << result.status.ToString();
-  EXPECT_NE(result.status.message().find(substring), std::string::npos)
-      << result.status.ToString();
-}
-
-TEST(BytecodeVerifyTest, AcceptsCompiledPrograms) {
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  for (const std::string& text :
-       {std::string("exists x . (S(x, y) & x > 0)"), RegionConnQueryText(),
-        RegionConnTcQueryText(false)}) {
-    BytecodeProgram program = CompileProgram(*ext, text);
-    BytecodeVerifyResult result = VerifyBytecode(program);
-    EXPECT_TRUE(result.status.ok()) << text << "\n"
-                                    << result.status.ToString();
-    EXPECT_EQ(result.procs_verified, program.procs.size());
-    EXPECT_EQ(result.instructions_verified, program.TotalInstructions());
-    EXPECT_EQ(result.unreachable_procs, 0u) << text;
-  }
-}
-
-TEST(BytecodeVerifyTest, FixpointProgramProvesLoopsAndCounters) {
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program = CompileProgram(*ext, RegionConnQueryText());
-  BytecodeVerifyResult result = VerifyBytecode(program);
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  // The region loops lowered from quantifier expansion all carry a
-  // checkpoint source, and every loop counter feeding set.region is
-  // interval-proved inside [0, |Reg|).
-  EXPECT_GT(result.loops_verified, 0u);
-  EXPECT_GT(result.counters_total, 0u);
-  EXPECT_EQ(result.counters_bounded, result.counters_total);
-}
-
-TEST(BytecodeVerifyTest, RejectsEmptyAndWrongModePrograms) {
-  ConstraintDatabase db = IntervalsDb();
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program =
-      CompileProgram(*ext, "exists x . (S(x) & x > 0)");
-  BytecodeProgram empty = program;
-  empty.procs.clear();
-  ExpectBytecodeRejected(empty, "no procs");
-  BytecodeProgram wrong_mode = program;
-  wrong_mode.procs[0].symbolic = false;
-  ExpectBytecodeRejected(wrong_mode, "entry proc must be symbolic");
-}
-
-TEST(BytecodeVerifyTest, RejectsRegisterAndJumpMutations) {
-  ConstraintDatabase db = IntervalsDb();
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program =
-      CompileProgram(*ext, "exists x . (S(x) & x > 0)");
-
-  {
-    // Flip a destination register out of the register file.
-    BytecodeProgram mutant = program;
-    VmProc& proc = mutant.procs[0];
-    bool mutated = false;
-    for (VmInstr& in : proc.code) {
-      if (in.op == VmOp::kConstFormula || in.op == VmOp::kQeExists) {
-        in.a = proc.num_sregs + 17;
-        mutated = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(mutated);
-    ExpectBytecodeRejected(mutant, "register out of range");
-  }
-  {
-    // Aim a jump outside the proc.
-    BytecodeProgram mutant = program;
-    for (VmInstr& in : mutant.procs[0].code) {
-      if (in.op == VmOp::kJmp || in.op == VmOp::kJmpIfSymFalse ||
-          in.op == VmOp::kJmpIfSymTrue) {
-        in.b = static_cast<uint32_t>(mutant.procs[0].code.size()) + 9;
-        ExpectBytecodeRejected(mutant, "jump target out of range");
-        return;
-      }
-    }
-    // No conditional jump in this program — acceptable, covered by the
-    // mutation harness over the full corpus.
-  }
-}
-
-TEST(BytecodeVerifyTest, RejectsDroppedLeaveAndFallOffEnd) {
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program = CompileProgram(*ext, RegionConnQueryText());
-
-  bool found_leave = false;
-  for (size_t p = 0; p < program.procs.size() && !found_leave; ++p) {
-    for (size_t pc = 0; pc < program.procs[p].code.size(); ++pc) {
-      const VmInstr& in = program.procs[p].code[pc];
-      if (in.op == VmOp::kLeaveSym || in.op == VmOp::kLeaveBool) {
-        // Overwrite the Leave with a harmless no-op: the matching Enter's
-        // bracket never closes, so every path to ret/halt is unbalanced.
-        BytecodeProgram mutant = program;
-        VmInstr& target = mutant.procs[p].code[pc];
-        target = VmInstr{};
-        target.op = VmOp::kBeginOp;
-        target.imm = 0;
-        ExpectBytecodeRejected(mutant, "bracket");
-        found_leave = true;
-        break;
-      }
-    }
-  }
-  EXPECT_TRUE(found_leave);
-
-  // Make the entry proc's halt a fallthrough op: control falls off the end.
-  BytecodeProgram mutant = program;
-  VmInstr& last = mutant.procs[0].code.back();
-  ASSERT_EQ(last.op, VmOp::kHalt);
-  last.op = VmOp::kLoadTrueSym;
-  last.a = 0;
-  ExpectBytecodeRejected(mutant, "falls off the end");
-}
-
-TEST(BytecodeVerifyTest, RejectsRetargetedBackEdge) {
-  ConstraintDatabase db = MakeComb(2, true);
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program = CompileProgram(*ext, RegionConnQueryText());
-  for (size_t p = 0; p < program.procs.size(); ++p) {
-    for (size_t pc = 0; pc < program.procs[p].code.size(); ++pc) {
-      if (program.procs[p].code[pc].op == VmOp::kLoopNext) {
-        BytecodeProgram mutant = program;
-        // One past the head is no longer a kLoopHead.
-        mutant.procs[p].code[pc].b += 1;
-        ExpectBytecodeRejected(mutant,
-                               "loop back-edge does not target its loop.head");
-        return;
-      }
-    }
-  }
-  FAIL() << "expected at least one loop in the connectivity program";
-}
-
-// ---------------------------------------------------------------------------
-// VM gate + ablation + metrics.
-
-TEST(VerifyGateTest, VmRefusesUnverifiedProgram) {
-  ConstraintDatabase db = IntervalsDb();
-  auto ext = MakeArrangementExtension(db);
-  ConstraintKernel kernel;
-  ScopedKernel scoped(kernel);
-  BytecodeProgram program =
-      CompileProgram(*ext, "exists x . (S(x) & x > 0)");
-  ASSERT_FALSE(program.verified);
-  Evaluator::Options options;
-  options.use_bytecode = true;
-  Evaluator::Stats stats;
-  BytecodeVm vm(program, *ext, options, &stats);
-  try {
-    vm.Run();
-    FAIL() << "expected the VM to refuse the unverified program";
-  } catch (const QueryInterrupt& interrupt) {
-    EXPECT_EQ(interrupt.status().code(), StatusCode::kInternal);
-    EXPECT_NE(interrupt.status().message().find("LCDB012"),
-              std::string::npos);
-    EXPECT_NE(interrupt.status().message().find("unverified"),
-              std::string::npos);
-  }
-  // The ablation switch waives the gate; answers are unchanged.
-  options.verify = false;
-  BytecodeVm unchecked(program, *ext, options, &stats);
-  EXPECT_NO_THROW(unchecked.Run());
-}
-
-TEST(VerifyGateTest, EvaluateRunsVerifiersOnBothBackends) {
+TEST(VerifyGateTest, EvaluateRunsThePlanVerifier) {
   ConstraintDatabase db = IntervalsDb();
   auto ext = MakeArrangementExtension(db);
   ConstraintKernel kernel;
   ScopedKernel scoped(kernel);
   const std::string text = "exists x . (S(x) & x > 0)";
-  Evaluator::Options options;
-  for (bool vm : {false, true}) {
-    options.use_bytecode = vm;
-    Evaluator evaluator(*ext, options);
-    auto parsed = ParseQuery(text, db.relation_name());
-    ASSERT_TRUE(parsed.ok());
-    auto answer = evaluator.Evaluate(**parsed);
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    const VerifyStats& verify = evaluator.stats().verify;
-    EXPECT_EQ(verify.plans_verified, 1u);
-    EXPECT_EQ(verify.violations, 0u);
-    EXPECT_EQ(verify.programs_verified, vm ? 1u : 0u);
-    const auto values = evaluator.stats().ToMetrics().values;
-    ASSERT_TRUE(values.count("analysis.verify.plans"));
-    EXPECT_EQ(values.at("analysis.verify.plans"), 1u);
-    ASSERT_TRUE(values.count("analysis.verify.violations"));
-    EXPECT_EQ(values.at("analysis.verify.violations"), 0u);
-    if (vm) {
-      EXPECT_GE(values.at("analysis.verify.instructions"), 1u);
-    }
-  }
+  Evaluator evaluator(*ext);
+  auto parsed = ParseQuery(text, db.relation_name());
+  ASSERT_TRUE(parsed.ok());
+  auto answer = evaluator.Evaluate(**parsed);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const VerifyStats& verify = evaluator.stats().verify;
+  EXPECT_EQ(verify.plans_verified, 1u);
+  EXPECT_EQ(verify.violations, 0u);
+  const auto values = evaluator.stats().ToMetrics().values;
+  ASSERT_TRUE(values.count("analysis.verify.plans"));
+  EXPECT_EQ(values.at("analysis.verify.plans"), 1u);
+  ASSERT_TRUE(values.count("analysis.verify.plan_nodes"));
+  EXPECT_GE(values.at("analysis.verify.plan_nodes"), 1u);
+  ASSERT_TRUE(values.count("analysis.verify.violations"));
+  EXPECT_EQ(values.at("analysis.verify.violations"), 0u);
 }
 
 TEST(VerifyGateTest, NoVerifyAblationSkipsVerifiersAndStillAnswers) {
@@ -412,7 +195,6 @@ TEST(VerifyGateTest, NoVerifyAblationSkipsVerifiersAndStillAnswers) {
   ScopedKernel scoped(kernel);
   const std::string text = "exists x . (S(x) & x > 0)";
   Evaluator::Options options;
-  options.use_bytecode = true;
   options.verify = false;
   Evaluator evaluator(*ext, options);
   auto parsed = ParseQuery(text, db.relation_name());
@@ -420,7 +202,6 @@ TEST(VerifyGateTest, NoVerifyAblationSkipsVerifiersAndStillAnswers) {
   auto answer = evaluator.Evaluate(**parsed);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   EXPECT_EQ(evaluator.stats().verify.plans_verified, 0u);
-  EXPECT_EQ(evaluator.stats().verify.programs_verified, 0u);
   // The family stays schema-stable at zero.
   const auto values = evaluator.stats().ToMetrics().values;
   ASSERT_TRUE(values.count("analysis.verify.plans"));
@@ -437,9 +218,9 @@ TEST(VerifyGateTest, ExplainRunsThePlanVerifier) {
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(evaluator.Explain(**parsed).ok());
   EXPECT_EQ(evaluator.stats().verify.plans_verified, 1u);
-  ASSERT_TRUE(evaluator.ExplainBytecode(**parsed).ok());
+  // Per compile, not cumulative: a second Explain reports its own plan.
+  ASSERT_TRUE(evaluator.Explain(**parsed).ok());
   EXPECT_EQ(evaluator.stats().verify.plans_verified, 1u);
-  EXPECT_EQ(evaluator.stats().verify.programs_verified, 1u);
 }
 
 }  // namespace
