@@ -269,17 +269,15 @@ class CostAnalyzer {
   /// evaluation; the leaves take no relation evaluations.
   void DistributeRelationEvals(const PlanNode& node, double executions) {
     static const std::vector<std::string> kNoneFixed;
-    const PlanNode* body =
-        node.children.empty() ? nullptr : node.children[0].get();
     switch (node.op) {
       case PlanOp::kLiftBool:
-        AddRelationEvals(*body, executions, node.free_region);
+        AddRelationEvals(*node.children[0], executions, node.free_region);
         return;
       case PlanOp::kFixpointMember:
-        AddRelationEvals(*body, StageEstimate(node), kNoneFixed);
+        AddRelationEvals(*node.children[0], StageEstimate(node), kNoneFixed);
         return;
       case PlanOp::kClosureMember:
-        AddRelationEvals(*body, 1.0, kNoneFixed);
+        AddRelationEvals(*node.children[0], 1.0, kNoneFixed);
         return;
       default:
         break;
