@@ -1,7 +1,11 @@
+#include <fstream>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden.h"
 #include "lp/feasibility.h"
 #include "lp/simplex.h"
 
@@ -238,6 +242,119 @@ TEST_P(LpPropertyTest, OptimumDominatesRandomFeasiblePoints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpPropertyTest,
                          ::testing::Values(7u, 77u, 777u, 7777u));
+
+// Pinned exact outputs of the LP oracle: tests/golden/lp_corpus.txt holds
+// one line per seeded call with its status, objective, solution or witness,
+// and the pivots it spent. Any change to the simplex that moves a single
+// pivot or witness shows here, before it can reorder a query's answer text.
+// Regenerate only after an intended change:
+//
+//   LCDB_REGENERATE_GOLDEN=1 build/tests/lp_test --gtest_filter='LpCorpus*'
+
+constexpr const char* kLpCorpusPath = LCDB_TEST_GOLDEN_DIR "/lp_corpus.txt";
+
+/// Uniform in [lo, hi] from raw generator output (the standard
+/// distributions are not portable across standard libraries).
+int64_t Uniform(std::mt19937_64& rng, int64_t lo, int64_t hi) {
+  return lo + static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1));
+}
+
+/// p/q with |p| <= 6 and 1 <= q <= 5.
+Rational SmallFraction(std::mt19937_64& rng) {
+  const int64_t p = Uniform(rng, -6, 6);
+  return Rational(p, Uniform(rng, 1, 5));
+}
+
+std::string VecText(const Vec& v) {
+  std::string out = "(";
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ",";
+    out += v[i].ToString();
+  }
+  return out + ")";
+}
+
+/// The corpus: mostly MaximizeLp calls over <=/=/>= rows, every fifth a
+/// CheckFeasibility call that may carry strict rows. About one row in ten is
+/// scaled by 2^61 + 3, so its entries leave BigInt's inline int64 range.
+std::vector<std::string> LpCorpusLines() {
+  std::mt19937_64 rng(20000521);
+  const Rational big(BigInt(int64_t{1} << 61) + BigInt(3));
+  const RelOp closed[] = {RelOp::kLe, RelOp::kEq, RelOp::kGe};
+  const RelOp any[] = {RelOp::kLt, RelOp::kLe, RelOp::kEq, RelOp::kGe,
+                       RelOp::kGt};
+  std::vector<std::string> lines;
+  for (int call = 0; call < 1000; ++call) {
+    const bool feasibility = call % 5 == 4;
+    const size_t n = static_cast<size_t>(Uniform(rng, 1, 5));
+    const size_t m = static_cast<size_t>(Uniform(rng, 1, 9));
+    std::vector<LinearConstraint> cs;
+    for (size_t r = 0; r < m; ++r) {
+      Vec a(n);
+      for (Rational& x : a) x = SmallFraction(rng);
+      Rational b = SmallFraction(rng);
+      const RelOp rel =
+          feasibility ? any[Uniform(rng, 0, 4)] : closed[Uniform(rng, 0, 2)];
+      if (Uniform(rng, 0, 9) == 0) {
+        for (Rational& x : a) x *= big;
+        b *= big;
+      }
+      cs.emplace_back(std::move(a), rel, std::move(b));
+    }
+    std::string line = std::to_string(call);
+    const SimplexCounters before = GetSimplexCounters();
+    if (feasibility) {
+      const FeasibilityResult r = CheckFeasibility(n, cs);
+      line += r.feasible ? " feasible witness=" + VecText(r.witness)
+                         : " infeasible";
+    } else {
+      Vec objective(n);
+      for (Rational& x : objective) x = SmallFraction(rng);
+      const LpResult r = MaximizeLp(n, cs, objective);
+      switch (r.status) {
+        case LpStatus::kOptimal:
+          line += " optimal objective=" + r.objective.ToString() +
+                  " solution=" + VecText(r.solution);
+          break;
+        case LpStatus::kInfeasible:
+          line += " infeasible";
+          break;
+        case LpStatus::kUnbounded:
+          line += " unbounded";
+          break;
+      }
+    }
+    line += " pivots=" +
+            std::to_string(GetSimplexCounters().pivots - before.pivots);
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+TEST(LpCorpusTest, MatchesPinnedCorpus) {
+  const std::vector<std::string> lines = LpCorpusLines();
+  if (RegeneratingGolden()) {
+    std::ofstream out(kLpCorpusPath, std::ios::trunc);
+    out << "# Pinned LP oracle outputs: <call> <status> [objective, solution "
+           "or witness] pivots=<n>.\n"
+        << "# Regenerate with:\n"
+        << "#   LCDB_REGENERATE_GOLDEN=1 build/tests/lp_test "
+           "--gtest_filter='LpCorpus*'\n";
+    for (const std::string& line : lines) out << line << "\n";
+    ASSERT_TRUE(out.good()) << "cannot write " << kLpCorpusPath;
+    return;
+  }
+  std::ifstream in(kLpCorpusPath);
+  ASSERT_TRUE(in.good()) << "cannot read " << kLpCorpusPath;
+  std::vector<std::string> pinned;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') pinned.push_back(line);
+  }
+  ASSERT_EQ(pinned.size(), lines.size()) << kLpCorpusPath;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_EQ(lines[i], pinned[i]) << "first differing line of the corpus";
+  }
+}
 
 }  // namespace
 }  // namespace lcdb
