@@ -217,6 +217,19 @@ BigInt BigInt::operator*(const BigInt& other) const {
   return out;
 }
 
+BigInt BigInt::MulSub(const BigInt& a, const BigInt& b, const BigInt& c,
+                      const BigInt& d) {
+  if (a.IsSmall() && b.IsSmall() && c.IsSmall() && d.IsSmall()) {
+    int64_t ab, cd, diff;
+    if (!__builtin_mul_overflow(a.small_, b.small_, &ab) &&
+        !__builtin_mul_overflow(c.small_, d.small_, &cd) &&
+        !__builtin_sub_overflow(ab, cd, &diff)) {
+      return BigInt(diff);
+    }
+  }
+  return a * b - c * d;
+}
+
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
   LCDB_CHECK_MSG(!b.IsZero(), "division by zero");

@@ -58,6 +58,11 @@ class BigInt {
   static void DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                      BigInt* remainder);
 
+  /// a * b - c * d in one step; inline operands whose result fits in
+  /// int64 need no temporaries.
+  static BigInt MulSub(const BigInt& a, const BigInt& b, const BigInt& c,
+                       const BigInt& d);
+
   BigInt& operator+=(const BigInt& other) { return *this = *this + other; }
   BigInt& operator-=(const BigInt& other) { return *this = *this - other; }
   BigInt& operator*=(const BigInt& other) { return *this = *this * other; }

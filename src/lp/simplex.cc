@@ -1,7 +1,7 @@
 #include "lp/simplex.h"
 
+#include <algorithm>
 #include <atomic>
-#include <optional>
 #include <utility>
 
 #include "engine/governor.h"
@@ -35,44 +35,71 @@ bool LinearConstraint::Satisfies(const Vec& point) const {
 
 namespace {
 
-/// Tableau simplex over exact rationals. All variables are >= 0; each row r
-/// maintains  sum_j rows_[r][j] x_j = rhs_[r]  with rhs_[r] >= 0 and
-/// basis_[r] the index of the variable basic in row r (coefficient one in
-/// its row, zero elsewhere). The objective is kept as
-/// z = obj_const_ + sum_j obj_[j] x_j with obj_[basic] = 0.
+/// Common denominator of `values`: the least positive integer that makes
+/// every value integral.
+BigInt CommonDenominator(const Rational* values, size_t count) {
+  BigInt den(1);
+  for (size_t i = 0; i < count; ++i) {
+    const BigInt& d = values[i].den();
+    if (!d.IsOne()) den = den / BigInt::Gcd(den, d) * d;
+  }
+  return den;
+}
+
+/// Fraction-free tableau simplex. All variables are >= 0. Each row holds
+/// num_cols integer coefficients followed by its right-hand side, and is a
+/// positive multiple of the textbook row: the textbook row is the stored
+/// row divided by the entry of its basic variable basis_[r], which is
+/// positive. The objective z = obj_const + sum_j c_j x_j is stored the
+/// same way, as (c_0, ..., c_{n-1}, -obj_const) over the positive
+/// denominator obj_den_, with c_basic = 0.
+///
+/// Scaling a row by a positive factor changes neither the sign of an entry
+/// nor the ratio rhs_r / a_r[col] (the row's scale cancels), so Bland's
+/// rule below makes exactly the pivots it would make over rationals. A
+/// pivot touches only the rows whose entering-column entry is nonzero, and
+/// divides each by its content: one gcd chain per row, none per entry.
 class Tableau {
  public:
-  Tableau(size_t num_cols) : num_cols_(num_cols), obj_(num_cols) {}
+  Tableau(size_t num_rows, size_t num_cols)
+      : num_cols_(num_cols), width_(num_cols + 1), obj_(width_) {
+    cells_.reserve(num_rows * width_);
+    basis_.reserve(num_rows);
+  }
 
-  size_t num_cols() const { return num_cols_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return basis_.size(); }
   const std::vector<size_t>& basis() const { return basis_; }
-  const Rational& rhs(size_t r) const { return rhs_[r]; }
-  const Rational& coeff(size_t r, size_t c) const { return rows_[r][c]; }
-  const Rational& objective_value() const { return obj_const_; }
+  bool IsZeroAt(size_t r, size_t c) const { return Row(r)[c].IsZero(); }
+  /// Value of row r's basic variable.
+  Rational rhs(size_t r) const {
+    return Rational(Row(r)[num_cols_], Row(r)[basis_[r]]);
+  }
+  Rational objective_value() const {
+    return Rational(-obj_[num_cols_], obj_den_);
+  }
 
-  void AddRow(Vec row, Rational rhs, size_t basic_var) {
-    LCDB_CHECK(row.size() == num_cols_);
-    LCDB_CHECK(rhs.Sign() >= 0);
-    rows_.push_back(std::move(row));
-    rhs_.push_back(std::move(rhs));
+  /// Appends a zero row with basic variable `basic_var` and returns its
+  /// cells for the caller to fill before the next AddRow. The filled row
+  /// must be positive at `basic_var` and have a non-negative rhs.
+  BigInt* AddRow(size_t basic_var) {
+    cells_.resize(cells_.size() + width_);
     basis_.push_back(basic_var);
+    return Row(num_rows() - 1);
   }
 
   /// Installs objective `z = sum coeffs[j] x_j`, rewritten through the
   /// current basis so that basic variables have zero reduced cost.
   void SetObjective(const Vec& coeffs) {
     LCDB_CHECK(coeffs.size() == num_cols_);
-    obj_ = coeffs;
-    obj_const_ = Rational(0);
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      const Rational factor = obj_[basis_[r]];
-      if (factor.IsZero()) continue;
-      for (size_t c = 0; c < num_cols_; ++c) {
-        obj_[c] -= factor * rows_[r][c];
+    obj_den_ = CommonDenominator(coeffs.data(), num_cols_);
+    for (size_t c = 0; c < num_cols_; ++c) {
+      obj_[c] = coeffs[c].num() * (obj_den_ / coeffs[c].den());
+    }
+    obj_[num_cols_] = BigInt();
+    for (size_t r = 0; r < num_rows(); ++r) {
+      if (!obj_[basis_[r]].IsZero()) {
+        Eliminate(obj_.data(), Row(r), basis_[r], &obj_den_);
       }
-      obj_const_ += factor * rhs_[r];
-      obj_[basis_[r]] = Rational(0);
     }
   }
 
@@ -91,17 +118,21 @@ class Tableau {
       }
       if (enter == num_cols_) return true;  // optimal
       // Leaving row: minimum ratio rhs/coeff over rows with coeff > 0;
-      // ties broken by smallest basic-variable index (Bland).
+      // ties broken by smallest basic-variable index (Bland). The ratios
+      // are compared cross-multiplied, both coefficients being positive.
       size_t leave = num_rows();
-      std::optional<Rational> best_ratio;
       for (size_t r = 0; r < num_rows(); ++r) {
-        if (rows_[r][enter].Sign() <= 0) continue;
-        Rational ratio = rhs_[r] / rows_[r][enter];
-        if (!best_ratio.has_value() || ratio < *best_ratio ||
-            (ratio == *best_ratio && basis_[r] < basis_[leave])) {
-          best_ratio = std::move(ratio);
+        const BigInt* row = Row(r);
+        if (row[enter].Sign() <= 0) continue;
+        if (leave == num_rows()) {
           leave = r;
+          continue;
         }
+        const BigInt* best = Row(leave);
+        const int cmp = BigInt::MulSub(row[num_cols_], best[enter],
+                                       best[num_cols_], row[enter])
+                            .Sign();
+        if (cmp < 0 || (cmp == 0 && basis_[r] < basis_[leave])) leave = r;
       }
       if (leave == num_rows()) return false;  // unbounded
       Pivot(leave, enter);
@@ -109,51 +140,73 @@ class Tableau {
   }
 
   void Pivot(size_t row, size_t col) {
-    LCDB_CHECK(rows_[row][col].Sign() != 0);
+    BigInt* pivot = Row(row);
+    LCDB_CHECK(!pivot[col].IsZero());
     g_simplex_pivots.fetch_add(1, std::memory_order_relaxed);
     // Per-pivot cancellation point: a single adversarial LP can spin for a
     // long time, so the pivot budget and the wall-clock deadline must be
     // enforceable from inside one solve, not just between solves. The
     // tableau is function-local, so the unwind leaves no shared state.
     GovernorOnSimplexPivot();
-    const Rational inv = Rational(1) / rows_[row][col];
-    for (size_t c = 0; c < num_cols_; ++c) rows_[row][c] *= inv;
-    rhs_[row] *= inv;
-    rows_[row][col] = Rational(1);  // kill rounding-free drift from aliasing
+    // The pivot row already is a positive multiple of its new textbook row
+    // unless the pivot entry is negative (only the phase-1 drive-out picks
+    // one); then its negation is.
+    if (pivot[col].Sign() < 0) {
+      for (size_t c = 0; c < width_; ++c) pivot[c] = -pivot[c];
+    }
     for (size_t r = 0; r < num_rows(); ++r) {
-      if (r == row) continue;
-      const Rational factor = rows_[r][col];
-      if (factor.IsZero()) continue;
-      for (size_t c = 0; c < num_cols_; ++c) {
-        rows_[r][c] -= factor * rows_[row][c];
+      if (r != row && !Row(r)[col].IsZero()) {
+        Eliminate(Row(r), pivot, col, nullptr);
       }
-      rhs_[r] -= factor * rhs_[row];
-      rows_[r][col] = Rational(0);
     }
-    const Rational ofactor = obj_[col];
-    if (!ofactor.IsZero()) {
-      for (size_t c = 0; c < num_cols_; ++c) {
-        obj_[c] -= ofactor * rows_[row][c];
-      }
-      obj_const_ += ofactor * rhs_[row];
-      obj_[col] = Rational(0);
-    }
+    if (!obj_[col].IsZero()) Eliminate(obj_.data(), pivot, col, &obj_den_);
     basis_[row] = col;
   }
 
   void DropRow(size_t r) {
-    rows_.erase(rows_.begin() + r);
-    rhs_.erase(rhs_.begin() + r);
-    basis_.erase(basis_.begin() + r);
+    cells_.erase(cells_.begin() + static_cast<ptrdiff_t>(r * width_),
+                 cells_.begin() + static_cast<ptrdiff_t>((r + 1) * width_));
+    basis_.erase(basis_.begin() + static_cast<ptrdiff_t>(r));
   }
 
  private:
+  BigInt* Row(size_t r) { return cells_.data() + r * width_; }
+  const BigInt* Row(size_t r) const { return cells_.data() + r * width_; }
+
+  /// row := pivot[col] * row - row[col] * pivot, zero at `col`, then divided
+  /// by its content. pivot[col] > 0, so the result is a positive multiple
+  /// of the textbook row minus row[col] times the textbook pivot row.
+  /// `den`, the objective's denominator, scales with its row.
+  void Eliminate(BigInt* row, const BigInt* pivot, size_t col, BigInt* den) {
+    const BigInt factor = row[col];
+    const BigInt& scale = pivot[col];
+    const bool rescale = !scale.IsOne();
+    for (size_t c = 0; c < width_; ++c) {
+      if (!pivot[c].IsZero()) {
+        row[c] = BigInt::MulSub(scale, row[c], factor, pivot[c]);
+      } else if (rescale && !row[c].IsZero()) {
+        row[c] *= scale;
+      }
+    }
+    if (den != nullptr && rescale) *den *= scale;
+    // Content: gcd of the entries (and the denominator), stopping at 1.
+    BigInt g = den != nullptr ? *den : BigInt();
+    for (size_t c = 0; c < width_ && !g.IsOne(); ++c) {
+      if (!row[c].IsZero()) g = BigInt::Gcd(g, row[c]);
+    }
+    if (g.IsOne() || g.IsZero()) return;
+    for (size_t c = 0; c < width_; ++c) {
+      if (!row[c].IsZero()) row[c] = row[c] / g;
+    }
+    if (den != nullptr) *den = *den / g;
+  }
+
   size_t num_cols_;
-  std::vector<Vec> rows_;
-  Vec rhs_;
+  size_t width_;  ///< num_cols_ coefficients plus the rhs
+  std::vector<BigInt> cells_;  ///< row-major, width_ per row
   std::vector<size_t> basis_;
-  Vec obj_;
-  Rational obj_const_;
+  std::vector<BigInt> obj_;
+  BigInt obj_den_{1};
 };
 
 }  // namespace
@@ -191,61 +244,66 @@ LpResult MaximizeLp(size_t num_vars,
   LCDB_CHECK(objective.size() == num_vars);
   g_simplex_invocations.fetch_add(1, std::memory_order_relaxed);
   LpSolveSpan lp_span;
-  // Normalize constraints to `a . x <= b` form rows; equalities become two
-  // inequalities. Strict relations are rejected (feasibility.h handles them).
-  struct Row {
-    Vec a;
-    Rational b;
+  // Each constraint gives `a . x <= b` rows: a <= constraint itself, a >=
+  // constraint negated, an equality both. A row whose b is negative is
+  // negated once more and gets an artificial variable.
+  struct LeRow {
+    const LinearConstraint* constraint;
+    bool negated;
   };
-  std::vector<Row> le_rows;
+  std::vector<LeRow> le_rows;
   for (const LinearConstraint& c : constraints) {
     LCDB_CHECK_MSG(!IsStrict(c.rel), "MaximizeLp requires non-strict relations");
     LCDB_CHECK(c.coeffs.size() == num_vars);
     if (c.rel == RelOp::kLe || c.rel == RelOp::kEq) {
-      le_rows.push_back({c.coeffs, c.rhs});
+      le_rows.push_back({&c, false});
     }
     if (c.rel == RelOp::kGe || c.rel == RelOp::kEq) {
-      le_rows.push_back({VecScale(Rational(-1), c.coeffs), -c.rhs});
+      le_rows.push_back({&c, true});
     }
   }
+
+  auto needs_artificial = [](const LeRow& row) {
+    return row.constraint->rhs.Sign() == (row.negated ? 1 : -1);
+  };
+  const size_t num_artificial = static_cast<size_t>(
+      std::count_if(le_rows.begin(), le_rows.end(), needs_artificial));
 
   // Column layout: [x+_0..x+_{n-1} | x-_0..x-_{n-1} | slacks | artificials].
   const size_t m = le_rows.size();
   const size_t slack_base = 2 * num_vars;
-  // Count artificials: rows whose rhs is negative after slack insertion.
-  size_t num_artificial = 0;
-  for (const Row& row : le_rows) {
-    if (row.b.Sign() < 0) ++num_artificial;
-  }
   const size_t art_base = slack_base + m;
   const size_t num_cols = art_base + num_artificial;
 
-  Tableau tableau(num_cols);
+  // Rows are built as integers directly: the constraint times its common
+  // denominator, which is also the slack's (and artificial's) entry. That
+  // entry is coprime to the rest of the row, so the row starts primitive.
+  Tableau tableau(m, num_cols);
   size_t next_art = art_base;
   std::vector<size_t> artificial_vars;
   for (size_t r = 0; r < m; ++r) {
-    Vec row(num_cols);
-    Rational rhs = le_rows[r].b;
-    Rational sign(1);
-    if (rhs.Sign() < 0) {
-      sign = Rational(-1);
-      rhs = -rhs;
-    }
+    const LinearConstraint& c = *le_rows[r].constraint;
+    const bool artificial = needs_artificial(le_rows[r]);
+    // The stored row is c, or -c when exactly one of `negated` and
+    // `artificial` holds; either way its rhs is |c.rhs| >= 0.
+    const bool flip = le_rows[r].negated != artificial;
+    const size_t basic = artificial ? next_art++ : slack_base + r;
+    BigInt* row = tableau.AddRow(basic);
+    BigInt den = CommonDenominator(c.coeffs.data(), num_vars);
+    den = den / BigInt::Gcd(den, c.rhs.den()) * c.rhs.den();
     for (size_t j = 0; j < num_vars; ++j) {
-      row[j] = sign * le_rows[r].a[j];
+      const Rational& a = c.coeffs[j];
+      if (a.IsZero()) continue;
+      row[j] = a.num() * (den / a.den());
+      if (flip) row[j] = -row[j];
       row[num_vars + j] = -row[j];
     }
-    row[slack_base + r] = sign;  // slack: +1 normally, -1 on negated rows
-    size_t basic;
-    if (sign.Sign() > 0) {
-      basic = slack_base + r;
-    } else {
-      row[next_art] = Rational(1);
-      basic = next_art;
-      artificial_vars.push_back(next_art);
-      ++next_art;
+    row[num_cols] = c.rhs.num().Abs() * (den / c.rhs.den());
+    row[slack_base + r] = artificial ? -den : den;
+    if (artificial) {
+      row[basic] = den;
+      artificial_vars.push_back(basic);
     }
-    tableau.AddRow(std::move(row), std::move(rhs), basic);
   }
 
   std::vector<bool> allow_all(num_cols, true);
@@ -268,7 +326,7 @@ LpResult MaximizeLp(size_t num_vars,
       }
       size_t pivot_col = num_cols;
       for (size_t c = 0; c < art_base; ++c) {
-        if (tableau.coeff(r, c).Sign() != 0) {
+        if (!tableau.IsZeroAt(r, c)) {
           pivot_col = c;
           break;
         }
