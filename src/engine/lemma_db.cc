@@ -98,8 +98,7 @@ void LemmaDatabase::InsertLocked(uint64_t hash, const std::string& key,
   entry.tier = (infeasible_core || pivots >= options_.core_pivots)
                    ? Tier::kCore
                    : Tier::kTransient;
-  entry.occurrences = OccurrencesOfLocked(atoms);
-  for (DisjunctId d : entry.occurrences) {
+  for (DisjunctId d : OccurrencesOfLocked(atoms)) {
     if (d < disjunct_lemmas_.size()) disjunct_lemmas_[d].push_back(entry.id);
   }
   index_[hash].push_back(entry.id);
@@ -233,10 +232,9 @@ void LemmaDatabase::BindDisjuncts(const DnfFormula& representation) {
       atom_index_[StableAtomHash(atom)].push_back(d);
     }
   }
-  // Existing lemmas referenced the previous representation's disjunct ids;
-  // those lists are now meaningless. The lemmas themselves stay valid
-  // (pure truths) but become unattributed.
-  for (auto& [id, e] : entries_) e.occurrences.clear();
+  // Existing lemmas were filed under the previous representation's
+  // disjunct ids, which the assign above dropped. The lemmas themselves stay
+  // valid (pure truths) but become unattributed.
 }
 
 size_t LemmaDatabase::InvalidateDisjunct(DisjunctId disjunct) {

@@ -100,11 +100,11 @@ struct LemmaDbStats {
 ///    Recency plays no role.
 ///
 /// Occurrence lists: BindDisjuncts() indexes the canonical atoms of a
-/// database representation's disjuncts; every inserted lemma records which
-/// disjuncts share at least one atom with it. InvalidateDisjunct(i) drops
-/// exactly the live lemmas whose occurrence lists mention disjunct `i` —
-/// the hook incremental re-evaluation needs when one disjunct of the
-/// database changes.
+/// database representation's disjuncts; every inserted lemma is filed under
+/// each disjunct that shares at least one atom with it.
+/// InvalidateDisjunct(i) drops exactly the live lemmas filed under
+/// disjunct `i` — the hook incremental re-evaluation needs when one
+/// disjunct of the database changes.
 ///
 /// Thread safety: all state is guarded by an internal mutex.
 class LemmaDatabase {
@@ -192,7 +192,6 @@ class LemmaDatabase {
     double activity = 0.0;
     uint32_t uses = 0;
     Tier tier = Tier::kTransient;
-    std::vector<DisjunctId> occurrences;  ///< sorted disjunct ids
   };
 
   Entry* FindLocked(uint64_t hash, const std::string& key);
