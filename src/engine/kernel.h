@@ -86,9 +86,9 @@ class ConstraintKernel {
   FeasibilityResult CheckFeasibility(
       size_t num_vars, const std::vector<LinearConstraint>& constraints);
 
-  /// Memoized IsConsistentWithNegation: is `constraints AND NOT(c)`
-  /// satisfiable? The per-branch systems of the negation are themselves
-  /// routed through the feasibility cache.
+  /// Is `constraints AND NOT(c)` satisfiable? The negation goes through
+  /// LinearAtom::Negate; its per-branch systems are themselves routed
+  /// through the feasibility cache.
   bool IsConsistentWithNegation(size_t num_vars,
                                 const std::vector<LinearConstraint>& constraints,
                                 const LinearConstraint& c);

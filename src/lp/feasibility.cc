@@ -76,34 +76,4 @@ bool IsBoundedSystem(size_t num_vars,
   return true;
 }
 
-bool IsConsistentWithNegation(size_t num_vars,
-                              const std::vector<LinearConstraint>& constraints,
-                              const LinearConstraint& c) {
-  // NOT(a.x REL b): equalities split into two strict alternatives.
-  std::vector<RelOp> negated;
-  switch (c.rel) {
-    case RelOp::kLt:
-      negated = {RelOp::kGe};
-      break;
-    case RelOp::kLe:
-      negated = {RelOp::kGt};
-      break;
-    case RelOp::kEq:
-      negated = {RelOp::kLt, RelOp::kGt};
-      break;
-    case RelOp::kGe:
-      negated = {RelOp::kLt};
-      break;
-    case RelOp::kGt:
-      negated = {RelOp::kLe};
-      break;
-  }
-  for (RelOp rel : negated) {
-    std::vector<LinearConstraint> system = constraints;
-    system.emplace_back(c.coeffs, rel, c.rhs);
-    if (CheckFeasibility(num_vars, system).feasible) return true;
-  }
-  return false;
-}
-
 }  // namespace lcdb

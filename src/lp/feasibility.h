@@ -37,13 +37,6 @@ LpResult MaximizeOverClosure(size_t num_vars,
 bool IsBoundedSystem(size_t num_vars,
                      const std::vector<LinearConstraint>& constraints);
 
-/// True iff the first system implies the second constraint on the closure
-/// level is *violated* somewhere, i.e. whether `constraints AND NOT(c)` is
-/// satisfiable. Used for redundancy elimination.
-bool IsConsistentWithNegation(size_t num_vars,
-                              const std::vector<LinearConstraint>& constraints,
-                              const LinearConstraint& c);
-
 }  // namespace lcdb
 
 #endif  // LCDB_LP_FEASIBILITY_H_

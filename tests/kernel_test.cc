@@ -208,6 +208,20 @@ TEST(KernelTest, ScopedKernelOverridesCurrent) {
   EXPECT_EQ(&CurrentKernel(), &before);
 }
 
+TEST(RedundancyTest, ImpliedConstraintDetected) {
+  // Within x <= 1, the constraint x <= 5 is implied (negation inconsistent);
+  // x <= 0 is not, nor is x = 0, whose negation splits into x < 0 or x > 0.
+  ConstraintKernel kernel;
+  const std::vector<LinearConstraint> sys = {
+      LinearConstraint(V({1}), RelOp::kLe, Rational(1))};
+  EXPECT_FALSE(kernel.IsConsistentWithNegation(
+      1, sys, LinearConstraint(V({1}), RelOp::kLe, Rational(5))));
+  EXPECT_TRUE(kernel.IsConsistentWithNegation(
+      1, sys, LinearConstraint(V({1}), RelOp::kLe, Rational(0))));
+  EXPECT_TRUE(kernel.IsConsistentWithNegation(
+      1, sys, LinearConstraint(V({1}), RelOp::kEq, Rational(0))));
+}
+
 // --- Cached vs uncached equivalence on real workloads ---------------------
 
 TEST(KernelEquivalenceTest, QePresimplifyMatchesPlainElimination) {

@@ -176,14 +176,6 @@ TEST(BoundednessTest, EmptySetIsBounded) {
   EXPECT_TRUE(IsBoundedSystem(1, cs));
 }
 
-TEST(RedundancyTest, ImpliedConstraintDetected) {
-  // Within x <= 1, the constraint x <= 5 is implied (negation inconsistent).
-  std::vector<LinearConstraint> sys = {C({1}, RelOp::kLe, 1)};
-  EXPECT_FALSE(IsConsistentWithNegation(1, sys, C({1}, RelOp::kLe, 5)));
-  EXPECT_TRUE(IsConsistentWithNegation(1, sys, C({1}, RelOp::kLe, 0)));
-  EXPECT_TRUE(IsConsistentWithNegation(1, sys, C({1}, RelOp::kEq, 0)));
-}
-
 class LpPropertyTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(LpPropertyTest, WitnessSatisfiesAllConstraints) {
