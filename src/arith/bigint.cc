@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <ostream>
+#include <utility>
 
 namespace lcdb {
 
@@ -21,12 +22,7 @@ size_t MagnitudeBitLength(const std::vector<uint32_t>& limbs) {
 }
 }  // namespace
 
-BigInt::BigInt(int64_t value) {
-  if (value >= -kSmallMax && value <= kSmallMax) {
-    small_ = value;
-    return;
-  }
-  // |value| exceeds the inline range (only near INT64_MIN/MAX).
+void BigInt::SetWide(int64_t value) {
   negative_ = value < 0;
   uint64_t magnitude = negative_ ? ~static_cast<uint64_t>(value) + 1
                                  : static_cast<uint64_t>(value);
@@ -311,14 +307,18 @@ bool BigInt::operator<(const BigInt& other) const {
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
   if (a.IsSmall() && b.IsSmall()) {
-    int64_t x = a.small_ < 0 ? -a.small_ : a.small_;
-    int64_t y = b.small_ < 0 ? -b.small_ : b.small_;
+    // Binary gcd: shifts and subtractions instead of divisions.
+    uint64_t x = static_cast<uint64_t>(a.small_ < 0 ? -a.small_ : a.small_);
+    uint64_t y = static_cast<uint64_t>(b.small_ < 0 ? -b.small_ : b.small_);
+    if (x == 0 || y == 0) return BigInt(static_cast<int64_t>(x | y));
+    const int shift = __builtin_ctzll(x | y);
+    x >>= __builtin_ctzll(x);
     while (y != 0) {
-      int64_t r = x % y;
-      x = y;
-      y = r;
+      y >>= __builtin_ctzll(y);
+      if (x > y) std::swap(x, y);
+      y -= x;
     }
-    return BigInt(x);
+    return BigInt(static_cast<int64_t>(x << shift));
   }
   BigInt x = a.Abs();
   BigInt y = b.Abs();

@@ -26,7 +26,13 @@ namespace lcdb {
 class BigInt {
  public:
   BigInt() = default;
-  BigInt(int64_t value);  // NOLINT(runtime/explicit) — numeric literal use.
+  BigInt(int64_t value) {  // NOLINT(runtime/explicit) — numeric literal use.
+    if (value >= -kSmallMax && value <= kSmallMax) {
+      small_ = value;
+    } else {
+      SetWide(value);
+    }
+  }
 
   /// Parses an optionally signed decimal string, e.g. "-1234".
   static Result<BigInt> FromString(std::string_view text);
@@ -103,6 +109,8 @@ class BigInt {
   static constexpr int64_t kSmallMax = (int64_t{1} << 62) - 1;
 
   bool IsSmall() const { return limbs_.empty(); }
+  /// Installs a value beyond the inline range (only near INT64_MIN/MAX).
+  void SetWide(int64_t value);
   /// Magnitude limbs of a small value (for mixed-representation paths).
   static std::vector<uint32_t> SmallLimbs(int64_t value);
   /// Installs a magnitude + sign, demoting to the small form when possible.

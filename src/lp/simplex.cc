@@ -98,7 +98,7 @@ class Tableau {
     obj_[num_cols_] = BigInt();
     for (size_t r = 0; r < num_rows(); ++r) {
       if (!obj_[basis_[r]].IsZero()) {
-        Eliminate(obj_.data(), Row(r), basis_[r], &obj_den_);
+        Eliminate(obj_.data(), Row(r), basis_[r], 0, &obj_den_);
       }
     }
   }
@@ -156,10 +156,12 @@ class Tableau {
     }
     for (size_t r = 0; r < num_rows(); ++r) {
       if (r != row && !Row(r)[col].IsZero()) {
-        Eliminate(Row(r), pivot, col, nullptr);
+        Eliminate(Row(r), pivot, col, basis_[r], nullptr);
       }
     }
-    if (!obj_[col].IsZero()) Eliminate(obj_.data(), pivot, col, &obj_den_);
+    if (!obj_[col].IsZero()) {
+      Eliminate(obj_.data(), pivot, col, 0, &obj_den_);
+    }
     basis_[row] = col;
   }
 
@@ -173,13 +175,21 @@ class Tableau {
   BigInt* Row(size_t r) { return cells_.data() + r * width_; }
   const BigInt* Row(size_t r) const { return cells_.data() + r * width_; }
 
-  /// row := pivot[col] * row - row[col] * pivot, zero at `col`, then divided
-  /// by its content. pivot[col] > 0, so the result is a positive multiple
-  /// of the textbook row minus row[col] times the textbook pivot row.
-  /// `den`, the objective's denominator, scales with its row.
-  void Eliminate(BigInt* row, const BigInt* pivot, size_t col, BigInt* den) {
-    const BigInt factor = row[col];
-    const BigInt& scale = pivot[col];
+  /// row := (s * row - f * pivot) / content, where f = row[col] and
+  /// s = pivot[col] > 0 are first divided by their gcd. The result is zero
+  /// at `col` and a positive multiple of the textbook row minus f times the
+  /// textbook pivot row. The row's denominator is its entry `basic`; the
+  /// objective row passes its separate denominator `den` instead, which
+  /// scales with the row.
+  void Eliminate(BigInt* row, const BigInt* pivot, size_t col, size_t basic,
+                 BigInt* den) {
+    BigInt factor = row[col];
+    BigInt scale = pivot[col];
+    const BigInt common = BigInt::Gcd(factor, scale);
+    if (!common.IsOne()) {
+      factor = factor / common;
+      scale = scale / common;
+    }
     const bool rescale = !scale.IsOne();
     for (size_t c = 0; c < width_; ++c) {
       if (!pivot[c].IsZero()) {
@@ -189,12 +199,13 @@ class Tableau {
       }
     }
     if (den != nullptr && rescale) *den *= scale;
-    // Content: gcd of the entries (and the denominator), stopping at 1.
-    BigInt g = den != nullptr ? *den : BigInt();
+    // Content: gcd of the entries, seeded with the denominator (most often
+    // 1 already) and stopping at 1.
+    BigInt g = den != nullptr ? *den : row[basic];
     for (size_t c = 0; c < width_ && !g.IsOne(); ++c) {
       if (!row[c].IsZero()) g = BigInt::Gcd(g, row[c]);
     }
-    if (g.IsOne() || g.IsZero()) return;
+    if (g.IsOne()) return;
     for (size_t c = 0; c < width_; ++c) {
       if (!row[c].IsZero()) row[c] = row[c] / g;
     }
