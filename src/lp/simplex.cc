@@ -58,7 +58,8 @@ BigInt CommonDenominator(const Rational* values, size_t count) {
 /// nor the ratio rhs_r / a_r[col] (the row's scale cancels), so Bland's
 /// rule below makes exactly the pivots it would make over rationals. A
 /// pivot touches only the rows whose entering-column entry is nonzero, and
-/// divides each by its content: one gcd chain per row, none per entry.
+/// divides a row whose denominator grew by its content: at most one gcd
+/// chain per row, none per entry.
 class Tableau {
  public:
   Tableau(size_t num_rows, size_t num_cols)
@@ -198,9 +199,13 @@ class Tableau {
         row[c] *= scale;
       }
     }
-    if (den != nullptr && rescale) *den *= scale;
-    // Content: gcd of the entries, seeded with the denominator (most often
-    // 1 already) and stopping at 1.
+    // Without a rescale the denominator is unchanged: the row is still that
+    // denominator times its textbook row and cannot grow, so only rescaled
+    // rows are divided by their content.
+    if (!rescale) return;
+    if (den != nullptr) *den *= scale;
+    // Content: gcd of the entries, seeded with the denominator and stopping
+    // at 1.
     BigInt g = den != nullptr ? *den : row[basic];
     for (size_t c = 0; c < width_ && !g.IsOne(); ++c) {
       if (!row[c].IsZero()) g = BigInt::Gcd(g, row[c]);
