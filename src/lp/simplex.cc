@@ -35,14 +35,16 @@ bool LinearConstraint::Satisfies(const Vec& point) const {
 
 namespace {
 
+/// Least common multiple of two positive integers.
+BigInt Lcm(const BigInt& a, const BigInt& b) {
+  return b.IsOne() ? a : a / BigInt::Gcd(a, b) * b;
+}
+
 /// Common denominator of `values`: the least positive integer that makes
 /// every value integral.
 BigInt CommonDenominator(const Rational* values, size_t count) {
   BigInt den(1);
-  for (size_t i = 0; i < count; ++i) {
-    const BigInt& d = values[i].den();
-    if (!d.IsOne()) den = den / BigInt::Gcd(den, d) * d;
-  }
+  for (size_t i = 0; i < count; ++i) den = Lcm(den, values[i].den());
   return den;
 }
 
@@ -292,8 +294,9 @@ LpResult MaximizeLp(size_t num_vars,
   const size_t num_cols = art_base + num_artificial;
 
   // Rows are built as integers directly: the constraint times its common
-  // denominator, which is also the slack's (and artificial's) entry. That
-  // entry is coprime to the rest of the row, so the row starts primitive.
+  // denominator, which is also the slack's (and artificial's) entry. No
+  // prime divides that entry and every coefficient and the rhs, so the row
+  // starts with content 1.
   Tableau tableau(m, num_cols);
   size_t next_art = art_base;
   std::vector<size_t> artificial_vars;
@@ -305,8 +308,8 @@ LpResult MaximizeLp(size_t num_vars,
     const bool flip = le_rows[r].negated != artificial;
     const size_t basic = artificial ? next_art++ : slack_base + r;
     BigInt* row = tableau.AddRow(basic);
-    BigInt den = CommonDenominator(c.coeffs.data(), num_vars);
-    den = den / BigInt::Gcd(den, c.rhs.den()) * c.rhs.den();
+    const BigInt den =
+        Lcm(CommonDenominator(c.coeffs.data(), num_vars), c.rhs.den());
     for (size_t j = 0; j < num_vars; ++j) {
       const Rational& a = c.coeffs[j];
       if (a.IsZero()) continue;
