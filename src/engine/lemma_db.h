@@ -147,7 +147,7 @@ class LemmaDatabase {
   std::optional<bool> LookupImplication(uint64_t hash, const std::string& key);
 
   /// Records a proved implication; `lhs_atoms` (the canonical system on
-  /// the left of the implication) drive the occurrence list.
+  /// the left of the implication) decide the disjuncts it is filed under.
   void InsertImplication(uint64_t hash, const std::string& key,
                          const std::vector<LinearAtom>& lhs_atoms,
                          bool consistent, uint64_t pivots);
@@ -155,14 +155,14 @@ class LemmaDatabase {
   // --- Occurrence lists / invalidation ---
 
   /// Binds the store to a database representation: indexes each disjunct's
-  /// canonical atoms so later insertions can record occurrence lists.
+  /// canonical atoms so later insertions can be filed under disjuncts.
   /// Binding the same representation again is a cheap no-op; binding a
   /// different one rebuilds the index and clears the now-meaningless old
-  /// occurrence lists (the lemmas themselves stay — they are pure truths).
+  /// per-disjunct lists (the lemmas themselves stay — they are pure truths).
   void BindDisjuncts(const DnfFormula& representation);
 
-  /// Drops every live lemma whose occurrence list mentions `disjunct` and
-  /// returns the number dropped.
+  /// Drops every live lemma filed under `disjunct` and returns the number
+  /// dropped.
   size_t InvalidateDisjunct(DisjunctId disjunct);
 
   /// Live lemmas currently mentioning `disjunct` (what InvalidateDisjunct
