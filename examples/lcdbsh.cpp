@@ -28,8 +28,10 @@
 //                                  failpoint.h names); 'off' as SITE (or as
 //                                  the argument) disarms
 //   \show limits                   print the budgets in effect
-//   \show cache                    print the kernel's lemma-database
-//                                  occupancy, tier breakdown and hit rates
+//   \show cache                    print the session kernel's lemma
+//                                  store: occupancy, tier breakdown and
+//                                  hit rates (the default kernel before
+//                                  the first query)
 //   \show session                  print the QuerySession's resilience
 //                                  telemetry: retry/resume/degradation
 //                                  counters, the degradation log, quarantine
@@ -41,8 +43,10 @@
 //                                  percentiles from the sampled traces
 //   help, quit
 //
-// Every query runs through a persistent QuerySession (engine/session.h):
-// budgets reset per attempt, resource trips retry with escalated budgets
+// Every query runs through a persistent QuerySession (engine/session.h).
+// Its one kernel keeps the lemmas every earlier query proved, so a repeated
+// LP decision is served from memory; budgets reset per attempt, resource
+// trips retry with escalated budgets
 // resuming from fixpoint checkpoints, and persistent faults walk the
 // degradation ladder (memoize->off, trace->off). A failure of
 // any kind (parse error, type error, tripped budget, injected fault) prints
@@ -490,9 +494,13 @@ void CmdShowLimits(const Session& session) {
   show("max_bigint_bits", l.max_bigint_bits);
 }
 
-void CmdShowCache() {
-  lcdb::ConstraintKernel& kernel = lcdb::CurrentKernel();
-  const std::shared_ptr<lcdb::LemmaDatabase>& db = kernel.lemma_db();
+void CmdShowCache(const Session& session) {
+  // The session's kernel serves every shell query; before the first query
+  // (or after a reset) the default kernel is the one extension builds use.
+  const lcdb::ConstraintKernel& kernel = session.qsession != nullptr
+                                             ? session.qsession->kernel()
+                                             : lcdb::DefaultKernel();
+  const lcdb::LemmaDatabase* db = kernel.lemma_db();
   if (db == nullptr) {
     std::printf("  lemma db                 off (memoize-off)\n");
     return;
@@ -520,12 +528,10 @@ void CmdShowCache() {
               static_cast<unsigned long long>(s.implication_cache_hits),
               static_cast<unsigned long long>(s.implication_cache_hits +
                                               s.implication_cache_misses));
-  std::printf(
-      "  evictions (c/f/t)        %llu / %llu / %llu   invalidations %llu\n",
-      static_cast<unsigned long long>(s.lemma_evictions_core),
-      static_cast<unsigned long long>(s.lemma_evictions_frequent),
-      static_cast<unsigned long long>(s.lemma_evictions_transient),
-      static_cast<unsigned long long>(s.lemma_invalidations));
+  std::printf("  evictions (c/f/t)        %llu / %llu / %llu\n",
+              static_cast<unsigned long long>(s.lemma_evictions_core),
+              static_cast<unsigned long long>(s.lemma_evictions_frequent),
+              static_cast<unsigned long long>(s.lemma_evictions_transient));
 }
 
 }  // namespace
@@ -570,7 +576,7 @@ int main() {
             "  \\set failpoint SITE [k] arm fault injection (skip k hits);\n"
             "                          '\\set failpoint off' disarms all\n"
             "  \\show limits            print the budgets in effect\n"
-            "  \\show cache             lemma-db occupancy, tiers, hit rates\n"
+            "  \\show cache             session kernel's lemmas, hit rates\n"
             "  \\show session           retry/resume/degradation telemetry\n"
             "  \\show recent            flight-recorder tail, one line/query\n"
             "  \\show profile           sampled per-op latency percentiles\n"
@@ -603,7 +609,7 @@ int main() {
         CmdSet(session, rest);
       } else if (cmd == "\\show") {
         if (lcdb::StripWhitespace(rest) == "cache") {
-          CmdShowCache();
+          CmdShowCache(session);
         } else if (lcdb::StripWhitespace(rest) == "session") {
           CmdShowSession(session);
         } else if (lcdb::StripWhitespace(rest) == "recent") {

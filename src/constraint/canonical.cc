@@ -71,12 +71,6 @@ void AppendAtomEncoding(const LinearAtom& atom, std::string* out) {
   out->push_back(';');
 }
 
-uint64_t StableAtomHash(const LinearAtom& atom) {
-  std::string enc;
-  AppendAtomEncoding(atom, &enc);
-  return StableHash64(enc);
-}
-
 CanonicalSystem CanonicalizeSystem(
     size_t num_vars, const std::vector<LinearConstraint>& constraints) {
   std::vector<LinearAtom> atoms;

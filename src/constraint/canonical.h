@@ -47,9 +47,6 @@ uint64_t StableHash64(std::string_view bytes);
 /// coefficients in decimal.
 void AppendAtomEncoding(const LinearAtom& atom, std::string* out);
 
-/// Stable 64-bit hash of a single canonical atom.
-uint64_t StableAtomHash(const LinearAtom& atom);
-
 /// Canonicalizes a raw LP-level system: every constraint is rebuilt as a
 /// canonical LinearAtom, constant atoms are folded, and the result is
 /// sorted and deduplicated before encoding.

@@ -88,9 +88,6 @@ void Evaluator::SettleAmbient(const KernelStats& kernel_before,
                                      delta.lemma_evictions_frequent +
                                      delta.lemma_evictions_transient;
     if (lemma_evictions > 0) span->Counter("lemma.evictions", lemma_evictions);
-    if (delta.lemma_invalidations > 0) {
-      span->Counter("lemma.invalidations", delta.lemma_invalidations);
-    }
   }
   if (QueryGovernor* g = CurrentGovernorOrNull()) stats_.governor = g->stats();
 }
@@ -303,11 +300,6 @@ Result<QueryAnswer> Evaluator::EvaluateImpl(const FormulaNode& query,
   // between these two snapshots of the ambient kernel. Plan compilation
   // happens inside the window because the optimizer's folding pass issues
   // feasibility queries of its own.
-  // Bind the lemma store's occurrence index to this extension's database
-  // representation (cheap no-op when it is already bound or under
-  // memoize-off), so lemmas learned below carry per-disjunct occurrence
-  // lists for targeted invalidation.
-  CurrentKernel().BindLemmaOccurrences(ext_.database().representation());
   const KernelStats kernel_before = CurrentKernel().stats();
   stats_.governor = GovernorStats();
   // Bookkeeping shared by the success and interrupt exits. Every cache the

@@ -68,7 +68,7 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
     const CanonicalSystem& canon) {
   // Injection + budget site, deliberately before the lock and before any
   // cache mutation: an interrupt here (or anywhere in the LP solve below)
-  // can only suppress an insertion, so the caches stay complete-or-absent.
+  // can only suppress an insertion, so the store stays complete-or-absent.
   LCDB_FAILPOINT("kernel.decide");
   GovernorOnFeasibilityQuery();
   {
@@ -83,16 +83,13 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
       ++stats_.trivial_answers;
       return {true, Vec(canon.num_vars)};
     }
-  }
-  if (lemma_db_ != nullptr) {
-    // The lemma DB takes its own lock; never nested under mu_.
-    std::optional<FeasibilityResult> hit = lemma_db_->LookupFeasibility(canon);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (hit.has_value()) {
-      ++stats_.cache_hits;
-      return *hit;
+    if (lemmas_.has_value()) {
+      if (const FeasibilityResult* hit = lemmas_->LookupFeasibility(canon)) {
+        ++stats_.cache_hits;
+        return *hit;
+      }
+      ++stats_.cache_misses;
     }
-    ++stats_.cache_misses;
   }
   // The LP solve runs outside the lock so a future parallel caller is not
   // serialized on the simplex; a concurrent duplicate miss only costs a
@@ -106,22 +103,22 @@ FeasibilityResult ConstraintKernel::CachedFeasibility(
   FeasibilityResult result =
       lcdb::CheckFeasibility(canon.num_vars, constraints);
   const SimplexCounters after = GetSimplexCounters();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.oracle_calls;
-    stats_.simplex_invocations += after.invocations - before.invocations;
-    stats_.simplex_pivots += after.pivots - before.pivots;
-  }
-  if (lemma_db_ != nullptr) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.oracle_calls;
+  stats_.simplex_invocations += after.invocations - before.invocations;
+  stats_.simplex_pivots += after.pivots - before.pivots;
+  if (lemmas_.has_value()) {
     // The solve cost drives the tier: expensive proofs and infeasible
-    // cores are worth keeping regardless of activity.
-    lemma_db_->InsertFeasibility(canon, result, after.pivots - before.pivots);
+    // cores are pinned core.
+    lemmas_->InsertFeasibility(canon, result, after.pivots - before.pivots);
   }
   return result;
 }
 
 bool ConstraintKernel::DecideConsistentWithNegation(
     const CanonicalSystem& canon, const LinearAtom& atom) {
+  std::string key;
+  uint64_t hash = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.implication_queries;
@@ -134,24 +131,20 @@ bool ConstraintKernel::DecideConsistentWithNegation(
       ++stats_.trivial_answers;
       if (atom.ConstantValue()) return false;  // NOT(true) is unsatisfiable
       // NOT(false) imposes nothing: fall through to plain feasibility.
+    } else if (lemmas_.has_value()) {
+      key = canon.encoding;
+      key.push_back('!');
+      AppendAtomEncoding(atom, &key);
+      hash = StableHash64(key);
+      if (std::optional<bool> hit = lemmas_->LookupImplication(hash, key)) {
+        ++stats_.implication_cache_hits;
+        return *hit;
+      }
+      ++stats_.implication_cache_misses;
     }
   }
   if (atom.IsConstant()) {
     return CachedFeasibility(canon).feasible;  // constant-true returned above
-  }
-
-  std::string key = canon.encoding;
-  key.push_back('!');
-  AppendAtomEncoding(atom, &key);
-  const uint64_t hash = StableHash64(key);
-  if (lemma_db_ != nullptr) {
-    std::optional<bool> hit = lemma_db_->LookupImplication(hash, key);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (hit.has_value()) {
-      ++stats_.implication_cache_hits;
-      return *hit;
-    }
-    ++stats_.implication_cache_misses;
   }
   // Decide each branch of the negation through the feasibility cache, so
   // the per-branch systems are shared with every other consumer that asks
@@ -167,56 +160,32 @@ bool ConstraintKernel::DecideConsistentWithNegation(
       break;
     }
   }
-  if (lemma_db_ != nullptr) {
+  if (lemmas_.has_value()) {
     // A proved implication (consistent == false) is pinned core inside the
     // store; the pivot delta across the branch solves prices the proof.
     const SimplexCounters after = GetSimplexCounters();
-    lemma_db_->InsertImplication(hash, key, canon.atoms, consistent,
-                                 after.pivots - before.pivots);
+    std::lock_guard<std::mutex> lock(mu_);
+    lemmas_->InsertImplication(hash, key, consistent,
+                               after.pivots - before.pivots);
   }
   return consistent;
-}
-
-void ConstraintKernel::BindLemmaOccurrences(const DnfFormula& representation) {
-  if (lemma_db_ != nullptr) lemma_db_->BindDisjuncts(representation);
-}
-
-size_t ConstraintKernel::InvalidateDisjunct(DisjunctId disjunct) {
-  return lemma_db_ != nullptr ? lemma_db_->InvalidateDisjunct(disjunct) : 0;
 }
 
 KernelStats ConstraintKernel::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   KernelStats out = stats_;
-  if (lemma_db_ != nullptr) {
-    // Fold in this kernel's share of the (possibly shared) lemma store:
-    // the cumulative DB counters minus the attach/ResetStats baseline.
-    // Lock order is always kernel -> lemma DB, never the reverse.
-    const LemmaDbStats d = lemma_db_->stats() - lemma_baseline_;
-    out.lemma_hits = d.hits;
-    out.lemma_misses = d.misses;
-    out.lemma_insertions = d.insertions;
-    out.lemma_evictions_core = d.evictions_core;
-    out.lemma_evictions_frequent = d.evictions_frequent;
-    out.lemma_evictions_transient = d.evictions_transient;
-    out.lemma_invalidations = d.invalidations;
-    out.lemma_decays = d.decays;
-    out.lemma_occupancy = lemma_db_->size();
-    // The aggregate counters read the store's totals.
-    out.cache_evictions = d.evictions_total();
-    out.canonicalization_collisions = d.collisions;
-  }
+  if (lemmas_.has_value()) out.lemma_occupancy = lemmas_->size();
   return out;
 }
 
 void ConstraintKernel::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = KernelStats();
-  if (lemma_db_ != nullptr) lemma_baseline_ = lemma_db_->stats();
 }
 
 void ConstraintKernel::ClearCache() {
-  if (lemma_db_ != nullptr) lemma_db_->Clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (lemmas_.has_value()) lemmas_->Clear();
 }
 
 }  // namespace lcdb

@@ -2,8 +2,8 @@
 #define LCDB_ENGINE_KERNEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "constraint/canonical.h"
@@ -30,51 +30,33 @@ namespace lcdb {
 ///    whether `system AND NOT(atom)` is satisfiable, the redundancy /
 ///    implication primitive.
 ///
-/// The default backing store is an activity-managed lemma database
-/// (engine/lemma_db.h): lemmas survive across queries, are scored by
-/// activity with periodic decay, evicted by quality tier instead of
-/// recency, and carry per-database-disjunct occurrence lists that make
-/// InvalidateDisjunct() possible. The lemma DB's lifetime is decoupled
-/// from the kernel — pass a shared_ptr to share one store across several
-/// kernels (ScopedKernel scopes, server worker kernels); by default a
-/// memoizing kernel creates its own. Verdicts are byte-identical with or
-/// without memoization — only hit rates differ.
+/// The memo is a lemma store (engine/lemma_db.h) that is a plain member of
+/// this kernel: lemmas live as long as the kernel, are evicted by quality
+/// tier and then age, and are counted into this kernel's KernelStats. A
+/// QuerySession keeps one memoizing kernel across its calls, so a later
+/// query is served what an earlier one decided. Verdicts are byte-identical
+/// with or without memoization — only hit rates differ.
 ///
-/// All kernel state is guarded by a mutex (the lemma DB has its own) so a
-/// later PR can fan region-quantifier expansion out across threads against
-/// one shared kernel; the underlying LP solve runs outside any lock.
+/// One mutex guards the kernel's stats and its lemma store, so a later PR
+/// can fan region-quantifier expansion out across threads against one
+/// shared kernel; the underlying LP solve runs outside the lock.
 ///
 /// Options::memoize turns memoization off entirely (every query pays an
-/// oracle call); canonicalization, trivial-answer short-circuits and
-/// telemetry stay active, which is exactly what the cache ablation
-/// measures.
+/// oracle call and no store exists); canonicalization, trivial-answer
+/// short-circuits and telemetry stay active, which is exactly what the
+/// cache ablation measures.
 class ConstraintKernel {
  public:
   struct Options {
     /// Off switch for all memoization (ablation).
     bool memoize = true;
-    /// Occupancy bound of the kernel's own lemma database.
+    /// Occupancy bound of the kernel's lemma store.
     size_t max_entries = 1u << 18;
   };
 
   ConstraintKernel() : ConstraintKernel(Options()) {}
-  explicit ConstraintKernel(Options options)
-      : ConstraintKernel(options, nullptr) {}
-  /// Attaches an externally owned lemma database (shared across kernels;
-  /// ignored under memoize = false). When `lemmas` is null a memoizing
-  /// kernel creates its own store sized by Options::max_entries.
-  ConstraintKernel(Options options, std::shared_ptr<LemmaDatabase> lemmas)
-      : options_(options) {
-    if (options_.memoize) {
-      if (lemmas != nullptr) {
-        lemma_db_ = std::move(lemmas);
-      } else {
-        LemmaDatabase::Options db_options;
-        db_options.max_entries = options_.max_entries;
-        lemma_db_ = std::make_shared<LemmaDatabase>(db_options);
-      }
-      lemma_baseline_ = lemma_db_->stats();
-    }
+  explicit ConstraintKernel(Options options) : options_(options) {
+    if (options_.memoize) lemmas_.emplace(options_.max_entries, &stats_);
   }
 
   ConstraintKernel(const ConstraintKernel&) = delete;
@@ -116,26 +98,15 @@ class ConstraintKernel {
 
   const Options& options() const { return options_; }
 
-  /// The backing lemma database, or null (memoize off). Its
-  /// lifetime is independent of this kernel: hold the shared_ptr to keep
-  /// lemmas alive across ScopedKernel scopes and kernel teardowns.
-  const std::shared_ptr<LemmaDatabase>& lemma_db() const { return lemma_db_; }
-
-  /// Forwards to LemmaDatabase::BindDisjuncts (no-op under memoize off):
-  /// indexes the representation's disjuncts so subsequent lemmas
-  /// carry occurrence lists. The evaluator calls this once per Evaluate
-  /// with the extension's database representation.
-  void BindLemmaOccurrences(const DnfFormula& representation);
-
-  /// Forwards to LemmaDatabase::InvalidateDisjunct (returns 0 under
-  /// memoize off): drops exactly the lemmas whose occurrence lists
-  /// mention `disjunct`.
-  size_t InvalidateDisjunct(DisjunctId disjunct);
+  /// The kernel's lemma store, or null (memoize off). Reading it while
+  /// another thread queries the kernel is a data race.
+  const LemmaDatabase* lemma_db() const {
+    return lemmas_.has_value() ? &*lemmas_ : nullptr;
+  }
 
   KernelStats stats() const;
   void ResetStats();
-  /// Drops all cached entries (stats are kept). This clears the attached
-  /// lemma store — which may be shared with other kernels.
+  /// Drops all lemmas (stats are kept).
   void ClearCache();
 
  private:
@@ -144,15 +115,14 @@ class ConstraintKernel {
                                     const LinearAtom& atom);
 
   const Options options_;
+  /// Guards stats_ and lemmas_.
   mutable std::mutex mu_;
   KernelStats stats_;
-  /// Stats snapshot of the (possibly pre-warmed, possibly shared) lemma DB
-  /// at attach/ResetStats time: stats() reports the delta since then.
-  LemmaDbStats lemma_baseline_;
-  std::shared_ptr<LemmaDatabase> lemma_db_;
+  /// Present iff options_.memoize; counts into stats_.
+  std::optional<LemmaDatabase> lemmas_;
 };
 
-/// The process-wide default kernel (memoizing, default lemma-DB bound).
+/// The process-wide default kernel (memoizing, default lemma-store bound).
 ConstraintKernel& DefaultKernel();
 
 /// The kernel all oracle consumers route through: the innermost

@@ -28,27 +28,24 @@ struct KernelStats {
   /// Lookups that found entries with the same 64-bit hash but a different
   /// canonical encoding (resolved exactly by the encoding comparison).
   uint64_t canonicalization_collisions = 0;
-  /// Entries dropped by the occupancy bound (lemma evictions, all tiers).
+  /// Lemmas dropped by the occupancy bound (all tiers).
   uint64_t cache_evictions = 0;
   /// MaximizeLp calls and tableau pivots spent on this kernel's oracle
   /// calls (deltas of the process-wide simplex counters).
   uint64_t simplex_invocations = 0;
   uint64_t simplex_pivots = 0;
 
-  /// Lemma-database family (engine/lemma_db.h) — the memoizing kernel's
-  /// activity-managed lemma store; all zero under memoize off. Hits/misses
-  /// count lemma lookups (the union of the feasibility and implication
-  /// keyspaces); evictions are split by the quality tier of the dropped
-  /// lemma; invalidations count lemmas dropped through per-disjunct
-  /// occurrence lists.
+  /// Lemma-store family (engine/lemma_db.h): counted by the memoizing
+  /// kernel's own store, all zero under memoize off. Hits/misses count
+  /// lemma lookups (the union of the feasibility and implication
+  /// keyspaces, so lemma_hits == cache_hits + implication_cache_hits);
+  /// evictions are split by the quality tier of the dropped lemma.
   uint64_t lemma_hits = 0;
   uint64_t lemma_misses = 0;
   uint64_t lemma_insertions = 0;
   uint64_t lemma_evictions_core = 0;
   uint64_t lemma_evictions_frequent = 0;
   uint64_t lemma_evictions_transient = 0;
-  uint64_t lemma_invalidations = 0;
-  uint64_t lemma_decays = 0;
   /// Gauge, not a counter: live lemmas at snapshot time. Difference and
   /// accumulation both keep the most recent value.
   uint64_t lemma_occupancy = 0;
@@ -72,8 +69,6 @@ struct KernelStats {
     lemma_evictions_core += o.lemma_evictions_core;
     lemma_evictions_frequent += o.lemma_evictions_frequent;
     lemma_evictions_transient += o.lemma_evictions_transient;
-    lemma_invalidations += o.lemma_invalidations;
-    lemma_decays += o.lemma_decays;
     lemma_occupancy = o.lemma_occupancy;  // gauge: latest wins
     return *this;
   }
@@ -99,8 +94,6 @@ struct KernelStats {
     d.lemma_evictions_core -= o.lemma_evictions_core;
     d.lemma_evictions_frequent -= o.lemma_evictions_frequent;
     d.lemma_evictions_transient -= o.lemma_evictions_transient;
-    d.lemma_invalidations -= o.lemma_invalidations;
-    d.lemma_decays -= o.lemma_decays;
     // d.lemma_occupancy stays *this's value (gauge semantics).
     return d;
   }
@@ -122,7 +115,6 @@ struct KernelStats {
     out += " lemma_evictions=" +
            std::to_string(lemma_evictions_core + lemma_evictions_frequent +
                           lemma_evictions_transient);
-    out += " lemma_invalidations=" + std::to_string(lemma_invalidations);
     return out;
   }
 };

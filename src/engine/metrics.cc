@@ -86,8 +86,6 @@ void MetricsRegistry::RegisterKernelStats(const KernelStats& s) {
   Count("kernel.lemma.evictions.core", s.lemma_evictions_core);
   Count("kernel.lemma.evictions.frequent", s.lemma_evictions_frequent);
   Count("kernel.lemma.evictions.transient", s.lemma_evictions_transient);
-  Count("kernel.lemma.invalidations", s.lemma_invalidations);
-  Count("kernel.lemma.decays", s.lemma_decays);
   Gauge("kernel.lemma.occupancy", s.lemma_occupancy);
 }
 

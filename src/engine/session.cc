@@ -1,5 +1,6 @@
 #include "engine/session.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -46,7 +47,9 @@ std::string SessionStats::ToString() const {
 
 QuerySession::QuerySession(const RegionExtension& extension,
                            SessionOptions options)
-    : ext_(extension), options_(std::move(options)) {
+    : ext_(extension),
+      options_(std::move(options)),
+      kernel_(options_.kernel) {
   if (options_.profile.sample_every > 0) {
     profiler_ = std::make_unique<ContinuousProfiler>(options_.profile);
   }
@@ -128,12 +131,12 @@ Result<QueryAnswer> QuerySession::RunLadder(const FormulaNode& query,
   Status last;
   for (size_t attempt = 0;; ++attempt) {
     ++stats_.attempts;
-    // Fresh kernel per attempt: a degraded rung must not serve verdicts
-    // cached by the configuration that just failed. The shared lemma store
-    // (when configured) survives on purpose — its verdicts hold under
-    // every configuration — and a memoize-off kernel ignores it.
-    ConstraintKernel kernel(ladder.kernel, options_.lemmas);
-    ScopedKernel scoped_kernel(kernel);
+    // Memoizing attempts share the session's kernel: its lemmas hold under
+    // every configuration. The memoize->off rung gets a kernel of its own.
+    std::optional<ConstraintKernel> unmemoized;
+    if (!ladder.kernel.memoize) unmemoized.emplace(ladder.kernel);
+    ScopedKernel scoped_kernel(unmemoized.has_value() ? *unmemoized
+                                                      : kernel_);
     std::unique_ptr<QueryGovernor> governor;
     std::unique_ptr<ScopedGovernor> scoped_governor;
     if (AnyFinite(ladder.limits)) {

@@ -35,11 +35,8 @@ struct SessionOptions {
   /// First-rung evaluator configuration. capture_resume is forced on when
   /// `use_resume` is set.
   Evaluator::Options eval;
-  /// First-rung kernel configuration (one fresh kernel per attempt).
+  /// Configuration of the session's kernel (see QuerySession).
   ConstraintKernel::Options kernel;
-  /// Optional lemma store shared across attempts and across queries; when
-  /// null each attempt's kernel creates its own.
-  std::shared_ptr<LemmaDatabase> lemmas;
   /// Base per-attempt budgets. A governor is installed only when at least
   /// one budget is finite, so unbudgeted sessions stay zero-overhead.
   GovernorLimits limits;
@@ -90,9 +87,15 @@ struct SessionStats {
 /// taxonomy, a deterministic degradation ladder, bounded retries with
 /// budget escalation and checkpoint/resume, and a quarantine list.
 ///
+/// The session owns one ConstraintKernel, built from SessionOptions::kernel.
+/// Memoizing attempts of every call run on it, so a later call is served
+/// the lemmas an earlier one proved. Lemmas are pure truths, and the
+/// kernel inserts only complete verdicts, so a failed attempt cannot poison
+/// a later one. An attempt on the memoize->off rung runs on a fresh
+/// non-memoizing kernel.
+///
 /// Each Evaluate call runs a retry loop of at most 1 + max_retries
-/// attempts, every attempt under a fresh kernel and (when budgeted) a fresh
-/// governor:
+/// attempts, every attempt under (when budgeted) a fresh governor:
 ///
 ///  * kResource failures escalate every finite budget by
 ///    `budget_escalation` and retry, continuing from the checkpoint the
@@ -137,6 +140,10 @@ class QuerySession {
   /// Replaces the base budgets for subsequent calls (lcdbsh `\set`).
   void set_limits(const GovernorLimits& limits) { options_.limits = limits; }
   const SessionOptions& options() const { return options_; }
+
+  /// The session's kernel: its lemma store and cumulative counters (lcdbsh
+  /// `\show cache`).
+  const ConstraintKernel& kernel() const { return kernel_; }
 
   /// The session.* counter family merged over the most recent call's
   /// evaluator metrics (evaluator.*, kernel.*, governor.*, plan.*, op.*) —
@@ -198,6 +205,7 @@ class QuerySession {
 
   const RegionExtension& ext_;
   SessionOptions options_;
+  ConstraintKernel kernel_;
   SessionStats stats_;
   std::vector<DegradationStep> degradation_log_;
   std::map<std::string, size_t> failure_streaks_;

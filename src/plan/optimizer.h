@@ -27,8 +27,9 @@ namespace lcdb {
 ///     (short-circuit friendly; operands are pure, so order is free).
 ///  6. CommonSubplanElimination — structurally identical subplans are
 ///     hash-consed into shared nodes, pooling their executor caches.
-///  7. MarkCacheable — set-variable-independent subplans are marked for
-///     per-region-key caching, hoisting them out of fixpoint iteration.
+///  7. MarkCacheable — set-variable-independent subplans the executor
+///     memoizes (symbolic nodes and the nonempty/rbit leaves) are marked
+///     for per-region-key caching, hoisting them out of fixpoint iteration.
 ///     This pass is the only memoization decision; with the pipeline
 ///     disabled no subformula caching happens.
 void OptimizePlan(CompiledPlan* plan, PlanPassStats* stats);

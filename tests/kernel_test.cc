@@ -3,9 +3,14 @@
 // scaling/order invariance and hash stability of the canonical form, cache
 // hit/miss/eviction accounting, and end-to-end equivalence of cached vs
 // uncached evaluation on the paper's workloads (river pollution, region
-// connectivity, the Figure 5 multiplication trick).
+// connectivity, the Figure 5 multiplication trick), and one kernel shared
+// by several threads.
 
+#include <algorithm>
+#include <atomic>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,7 +185,7 @@ TEST(KernelTest, ImplicationCacheHits) {
   EXPECT_EQ(stats.implication_cache_misses, 2u);
 }
 
-TEST(KernelTest, LruEvictionKeepsAnswersCorrect) {
+TEST(KernelTest, EvictionKeepsAnswersCorrect) {
   ConstraintKernel kernel(
       ConstraintKernel::Options{/*memoize=*/true, /*max_entries=*/2});
   for (int round = 0; round < 2; ++round) {
@@ -193,6 +198,72 @@ TEST(KernelTest, LruEvictionKeepsAnswersCorrect) {
   const KernelStats stats = kernel.stats();
   EXPECT_GT(stats.cache_evictions, 0u);
   EXPECT_EQ(stats.feasibility_queries, 12u);
+}
+
+TEST(KernelTest, ConcurrentQueriesMatchSerialVerdicts) {
+  // One kernel shared by four threads: its mutex guards the stats and the
+  // lemma store, and the capacity of 32 keeps evictions running during
+  // lookups. Every verdict must match a serial kernel's.
+  constexpr size_t kSystems = 200;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::mt19937_64 rng(20261020);
+  auto small = [&rng](int lo, int hi) {
+    return static_cast<int64_t>(rng() % static_cast<uint64_t>(hi - lo + 1)) +
+           lo;
+  };
+  const RelOp kRels[] = {RelOp::kLe, RelOp::kLt, RelOp::kGe, RelOp::kEq};
+  auto random_atom = [&] {
+    Vec coeffs = V({small(-3, 3), small(-3, 3)});
+    if (VecIsZero(coeffs)) coeffs = V({1, 0});
+    return LinearAtom(coeffs, kRels[rng() % 4], Rational(small(-5, 5)));
+  };
+  std::vector<Conjunction> systems;
+  std::vector<LinearAtom> extras;
+  for (size_t i = 0; i < kSystems; ++i) {
+    std::vector<LinearAtom> atoms;
+    const int64_t n = small(1, 4);
+    for (int64_t a = 0; a < n; ++a) atoms.push_back(random_atom());
+    systems.emplace_back(2, std::move(atoms));
+    extras.push_back(random_atom());
+  }
+
+  ConstraintKernel serial;
+  std::vector<bool> feasible(kSystems), consistent(kSystems);
+  for (size_t i = 0; i < kSystems; ++i) {
+    feasible[i] = serial.IsFeasible(systems[i]);
+    consistent[i] = serial.IsConsistentWithNegation(systems[i], extras[i]);
+  }
+
+  ConstraintKernel shared(
+      ConstraintKernel::Options{/*memoize=*/true, /*max_entries=*/32});
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<size_t> order(kSystems);
+      for (size_t i = 0; i < kSystems; ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), std::mt19937_64(t + 1));
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i : order) {
+          if (shared.IsFeasible(systems[i]) != feasible[i]) ++mismatches;
+          if (shared.IsConsistentWithNegation(systems[i], extras[i]) !=
+              consistent[i]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const KernelStats stats = shared.stats();
+  EXPECT_GT(stats.lemma_hits, 0u);
+  EXPECT_GT(stats.cache_evictions, 0u);
+  EXPECT_LE(stats.lemma_occupancy, 32u);
+  EXPECT_EQ(stats.lemma_hits,
+            stats.cache_hits + stats.implication_cache_hits);
 }
 
 TEST(KernelTest, ScopedKernelOverridesCurrent) {

@@ -1,9 +1,10 @@
-// Tests of the activity-managed lemma database (engine/lemma_db.h) and its
-// integration with the constraint kernel: cross-query lemma survival, the
-// ISSUE-mandated InvalidateDisjunct exactness contract, tier-then-activity
-// eviction, and the kernel.lemma.* metrics family.
+// Tests of the kernel's lemma store (engine/lemma_db.h) and its integration
+// with the constraint kernel: tier-then-age eviction, promotion, the one
+// pool of both lemma kinds, lemma reuse across Evaluate calls on one
+// kernel, and the kernel.lemma.* metrics family.
 
-#include <memory>
+#include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,23 +46,26 @@ FeasibilityResult Feasible() {
   return r;
 }
 
+// A hit bumps the lemma's use count (the activity that drives promotion)
+// and counts into the owner's KernelStats.
 TEST(LemmaDatabaseTest, HitBumpsActivityAndStats) {
-  LemmaDatabase db;
+  KernelStats stats;
+  LemmaDatabase db(/*max_entries=*/16, &stats);
   const CanonicalSystem canon = Canon(Interval(0, 1));
-  EXPECT_FALSE(db.LookupFeasibility(canon).has_value());
+  EXPECT_EQ(db.LookupFeasibility(canon), nullptr);
   db.InsertFeasibility(canon, Feasible(), /*pivots=*/1);
-  std::optional<FeasibilityResult> hit = db.LookupFeasibility(canon);
-  ASSERT_TRUE(hit.has_value());
+  const FeasibilityResult* hit = db.LookupFeasibility(canon);
+  ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->feasible);
-  const LemmaDbStats s = db.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.insertions, 1u);
+  EXPECT_EQ(stats.lemma_hits, 1u);
+  EXPECT_EQ(stats.lemma_misses, 1u);
+  EXPECT_EQ(stats.lemma_insertions, 1u);
   EXPECT_EQ(db.size(), 1u);
 }
 
 TEST(LemmaDatabaseTest, InfeasibleVerdictsArePinnedCore) {
-  LemmaDatabase db;
+  KernelStats stats;
+  LemmaDatabase db(/*max_entries=*/16, &stats);
   const CanonicalSystem canon = Canon(Interval(3, 1));  // empty interval
   FeasibilityResult infeasible;
   infeasible.feasible = false;
@@ -73,98 +77,103 @@ TEST(LemmaDatabaseTest, InfeasibleVerdictsArePinnedCore) {
 }
 
 TEST(LemmaDatabaseTest, FrequentPromotionAfterRepeatedUse) {
-  LemmaDatabase::Options options;
-  options.frequent_uses = 2;
-  LemmaDatabase db(options);
+  KernelStats stats;
+  LemmaDatabase db(/*max_entries=*/16, &stats);
   const CanonicalSystem canon = Canon(Interval(0, 1));
   db.InsertFeasibility(canon, Feasible(), /*pivots=*/1);
   EXPECT_EQ(db.TierCounts()[2], 1u);  // transient on insert
-  db.LookupFeasibility(canon);
+  for (uint32_t i = 1; i < LemmaDatabase::kFrequentUses; ++i) {
+    db.LookupFeasibility(canon);
+  }
+  EXPECT_EQ(db.TierCounts()[2], 1u);  // one hit short of promotion
   db.LookupFeasibility(canon);
   EXPECT_EQ(db.TierCounts()[1], 1u);  // promoted to frequent
   EXPECT_EQ(db.TierCounts()[2], 0u);
 }
 
+// Eviction ranks by tier, then age: the oldest transient goes first, and a
+// lemma promoted by use (frequent) or pinned by its proof cost (core)
+// outlives every transient, however recently the transient was inserted.
 TEST(LemmaDatabaseTest, EvictionPrefersColdTransientsOverActiveAndCore) {
-  LemmaDatabase::Options options;
-  options.max_entries = 4;
-  LemmaDatabase db(options);
-  // One core lemma (expensive proof), one hot transient, two cold
-  // transients. max_entries/8 is 0 at capacity 4, so each overflow evicts
-  // exactly one entry — the worst-ranked one.
+  KernelStats stats;
+  // max_entries/8 is 0 at capacity 4, so each overflow evicts exactly one
+  // entry — the worst-ranked one.
+  LemmaDatabase db(/*max_entries=*/4, &stats);
   const CanonicalSystem core = Canon(Interval(0, 1));
-  db.InsertFeasibility(core, Feasible(), /*pivots=*/1000);  // core tier
+  db.InsertFeasibility(core, Feasible(), LemmaDatabase::kCorePivots);
   const CanonicalSystem hot = Canon(Interval(2, 3));
   db.InsertFeasibility(hot, Feasible(), /*pivots=*/1);
-  for (int i = 0; i < 4; ++i) db.LookupFeasibility(hot);
+  for (uint32_t i = 0; i < LemmaDatabase::kFrequentUses; ++i) {
+    db.LookupFeasibility(hot);
+  }
   const CanonicalSystem cold1 = Canon(Interval(4, 5));
   const CanonicalSystem cold2 = Canon(Interval(6, 7));
   db.InsertFeasibility(cold1, Feasible(), /*pivots=*/1);
   db.InsertFeasibility(cold2, Feasible(), /*pivots=*/1);
   EXPECT_EQ(db.size(), 4u);
-  // The fifth insertion overflows; the victim must be a cold transient.
+  EXPECT_EQ(db.TierCounts(), (std::array<size_t, 3>{1, 1, 2}));
+
+  // The fifth insertion overflows: the oldest transient, cold1, goes.
   const CanonicalSystem fresh = Canon(Interval(8, 9));
   db.InsertFeasibility(fresh, Feasible(), /*pivots=*/1);
-  const LemmaDbStats s = db.stats();
-  EXPECT_GT(s.evictions_transient, 0u);
-  EXPECT_EQ(s.evictions_core, 0u);
-  // The core lemma and the hot lemma both survived.
-  EXPECT_TRUE(db.LookupFeasibility(core).has_value());
-  EXPECT_TRUE(db.LookupFeasibility(hot).has_value());
+  EXPECT_EQ(db.size(), 4u);
+  EXPECT_EQ(stats.lemma_evictions_transient, 1u);
+  EXPECT_EQ(stats.cache_evictions, 1u);
+  EXPECT_EQ(db.LookupFeasibility(cold1), nullptr);
+  EXPECT_NE(db.LookupFeasibility(cold2), nullptr);
+  EXPECT_NE(db.LookupFeasibility(fresh), nullptr);
+
+  // Two more overflows drop the two remaining transients, oldest first,
+  // before any frequent or core lemma.
+  db.InsertFeasibility(Canon(Interval(10, 11)), Feasible(), /*pivots=*/1);
+  EXPECT_EQ(db.LookupFeasibility(cold2), nullptr);
+  db.InsertFeasibility(Canon(Interval(12, 13)), Feasible(), /*pivots=*/1);
+  EXPECT_EQ(db.LookupFeasibility(fresh), nullptr);
+  EXPECT_EQ(stats.lemma_evictions_transient, 3u);
+  EXPECT_EQ(stats.lemma_evictions_frequent, 0u);
+  EXPECT_EQ(stats.lemma_evictions_core, 0u);
+  EXPECT_NE(db.LookupFeasibility(core), nullptr);
+  EXPECT_NE(db.LookupFeasibility(hot), nullptr);
 }
 
-TEST(LemmaDatabaseTest, DecayStepsCountAtInterval) {
-  LemmaDatabase::Options options;
-  options.decay_interval = 2;
-  LemmaDatabase db(options);
-  for (int i = 0; i < 6; ++i) {
-    db.InsertFeasibility(Canon(Interval(i, i + 1)), Feasible(), /*pivots=*/1);
+TEST(LemmaDatabaseTest, EvictionReachesFrequentThenCoreOldestFirst) {
+  KernelStats stats;
+  LemmaDatabase db(/*max_entries=*/2, &stats);
+  const CanonicalSystem core1 = Canon(Interval(0, 1));
+  db.InsertFeasibility(core1, Feasible(), LemmaDatabase::kCorePivots);
+  const CanonicalSystem frequent = Canon(Interval(2, 3));
+  db.InsertFeasibility(frequent, Feasible(), /*pivots=*/1);
+  for (uint32_t i = 0; i < LemmaDatabase::kFrequentUses; ++i) {
+    db.LookupFeasibility(frequent);
   }
-  EXPECT_EQ(db.stats().decays, 3u);
-}
-
-TEST(LemmaDatabaseTest, OccurrenceListsTrackBoundDisjuncts) {
-  DnfFormula rep(1, {Interval(0, 10), Interval(20, 30)});
-  LemmaDatabase db;
-  db.BindDisjuncts(rep);
-  // A lemma over disjunct 0's atoms mentions exactly disjunct 0.
-  const CanonicalSystem canon = Canon(Interval(0, 10));
-  db.InsertFeasibility(canon, Feasible(), /*pivots=*/1);
-  EXPECT_EQ(db.OccurrenceCount(0), 1u);
-  EXPECT_EQ(db.OccurrenceCount(1), 0u);
-  // Invalidating disjunct 1 drops nothing; disjunct 0 drops the lemma.
-  EXPECT_EQ(db.InvalidateDisjunct(1), 0u);
-  EXPECT_TRUE(db.LookupFeasibility(canon).has_value());
-  EXPECT_EQ(db.InvalidateDisjunct(0), 1u);
-  EXPECT_FALSE(db.LookupFeasibility(canon).has_value());
-  EXPECT_EQ(db.stats().invalidations, 1u);
-}
-
-TEST(LemmaDatabaseTest, RebindClearsStaleOccurrenceLists) {
-  DnfFormula rep_a(1, {Interval(0, 10)});
-  DnfFormula rep_b(1, {Interval(20, 30), Interval(40, 50)});
-  LemmaDatabase db;
-  db.BindDisjuncts(rep_a);
-  db.InsertFeasibility(Canon(Interval(0, 10)), Feasible(), /*pivots=*/1);
-  EXPECT_EQ(db.OccurrenceCount(0), 1u);
-  db.BindDisjuncts(rep_b);
-  EXPECT_EQ(db.stats().rebinds, 2u);
-  // The lemma survives the rebind (pure truth) but is now unattributed.
-  EXPECT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.OccurrenceCount(0), 0u);
-  // Re-binding the same representation is a no-op.
-  db.BindDisjuncts(rep_b);
-  EXPECT_EQ(db.stats().rebinds, 2u);
+  // With no transient left, a frequent lemma goes before any core.
+  const CanonicalSystem core2 = Canon(Interval(4, 5));
+  db.InsertFeasibility(core2, Feasible(), LemmaDatabase::kCorePivots);
+  EXPECT_EQ(stats.lemma_evictions_frequent, 1u);
+  EXPECT_EQ(db.LookupFeasibility(frequent), nullptr);
+  // A store of cores only drops its oldest core.
+  const CanonicalSystem core3 = Canon(Interval(6, 7));
+  db.InsertFeasibility(core3, Feasible(), LemmaDatabase::kCorePivots);
+  EXPECT_EQ(stats.lemma_evictions_core, 1u);
+  EXPECT_EQ(db.LookupFeasibility(core1), nullptr);
+  EXPECT_NE(db.LookupFeasibility(core2), nullptr);
+  // Tier outranks age: a new transient is the first to go.
+  const CanonicalSystem transient = Canon(Interval(8, 9));
+  db.InsertFeasibility(transient, Feasible(), /*pivots=*/1);
+  EXPECT_EQ(stats.lemma_evictions_transient, 1u);
+  EXPECT_EQ(db.LookupFeasibility(transient), nullptr);
+  EXPECT_EQ(db.size(), 2u);
+  EXPECT_EQ(stats.cache_evictions, 3u);
 }
 
 TEST(LemmaDatabaseTest, ImplicationAndFeasibilityShareOnePool) {
-  LemmaDatabase db;
+  KernelStats stats;
+  LemmaDatabase db(/*max_entries=*/16, &stats);
   const CanonicalSystem canon = Canon(Interval(0, 10));
   std::string key = canon.encoding;
   key.push_back('!');
   const uint64_t hash = StableHash64(key);
-  db.InsertImplication(hash, key, canon.atoms, /*consistent=*/false,
-                       /*pivots=*/1);
+  db.InsertImplication(hash, key, /*consistent=*/false, /*pivots=*/1);
   db.InsertFeasibility(canon, Feasible(), /*pivots=*/1);
   EXPECT_EQ(db.size(), 2u);
   std::optional<bool> impl = db.LookupImplication(hash, key);
@@ -173,8 +182,8 @@ TEST(LemmaDatabaseTest, ImplicationAndFeasibilityShareOnePool) {
   // A proved implication (consistent == false) is pinned core.
   EXPECT_GE(db.TierCounts()[0], 1u);
   // The feasibility keyspace never contains '!', so the pool stays disjoint:
-  // a feasibility lookup under the implication's key shape misses.
-  EXPECT_TRUE(db.LookupFeasibility(canon).has_value());
+  // the feasibility lemma is still found under its own key.
+  EXPECT_NE(db.LookupFeasibility(canon), nullptr);
 }
 
 // --- Kernel integration ---
@@ -182,49 +191,6 @@ TEST(LemmaDatabaseTest, ImplicationAndFeasibilityShareOnePool) {
 Conjunction ParseConj(const std::string& text) {
   DnfFormula f = ParseDnf(text, {"x"}).value();
   return f.disjuncts()[0];
-}
-
-TEST(KernelLemmaTest, LemmasSurviveAcrossScopedKernelScopes) {
-  auto lemmas = std::make_shared<LemmaDatabase>();
-  const Conjunction conj = ParseConj("x >= 0 & x <= 1");
-  {
-    ConstraintKernel kernel(ConstraintKernel::Options(), lemmas);
-    ScopedKernel scope(kernel);
-    CurrentKernel().IsFeasible(conj);
-    EXPECT_EQ(kernel.stats().cache_misses, 1u);
-  }
-  // The first kernel is gone; a second one attached to the same store gets
-  // a hit on its very first query.
-  {
-    ConstraintKernel kernel(ConstraintKernel::Options(), lemmas);
-    ScopedKernel scope(kernel);
-    CurrentKernel().IsFeasible(conj);
-    const KernelStats s = kernel.stats();
-    EXPECT_EQ(s.cache_hits, 1u);
-    EXPECT_EQ(s.oracle_calls, 0u);
-    EXPECT_EQ(s.lemma_hits, 1u);
-  }
-}
-
-TEST(KernelLemmaTest, StatsReportLemmaDeltaSinceAttach) {
-  auto lemmas = std::make_shared<LemmaDatabase>();
-  const Conjunction warm = ParseConj("x >= 0 & x <= 1");
-  {
-    ConstraintKernel kernel(ConstraintKernel::Options(), lemmas);
-    ScopedKernel scope(kernel);
-    CurrentKernel().IsFeasible(warm);
-  }
-  ConstraintKernel kernel(ConstraintKernel::Options(), lemmas);
-  // The pre-warm insertion happened before this kernel attached; its stats
-  // start from zero but the occupancy gauge shows the shared store.
-  KernelStats s = kernel.stats();
-  EXPECT_EQ(s.lemma_insertions, 0u);
-  EXPECT_EQ(s.lemma_occupancy, 1u);
-  ScopedKernel scope(kernel);
-  CurrentKernel().IsFeasible(warm);
-  s = kernel.stats();
-  EXPECT_EQ(s.lemma_hits, 1u);
-  EXPECT_EQ(s.lemma_misses, 0u);
 }
 
 TEST(KernelLemmaTest, ClearCacheDropsLemmas) {
@@ -254,6 +220,8 @@ TEST(KernelLemmaTest, SecondEvaluateHitsLemmasAndInvalidationIsExact) {
   auto first = EvaluateQueryText(*ext, query);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_GT(kernel.lemma_db()->size(), 0u);
+  const uint64_t first_oracle_calls = kernel.stats().oracle_calls;
+  ASSERT_GT(first_oracle_calls, 0u);
 
   // Second Evaluate on the same database: lemmas learned by the first run
   // answer from the store.
@@ -263,18 +231,16 @@ TEST(KernelLemmaTest, SecondEvaluateHitsLemmasAndInvalidationIsExact) {
   EXPECT_GT(kernel.stats().lemma_hits, 0u);
   EXPECT_EQ(first->formula, second->formula);
 
-  // InvalidateDisjunct drops exactly the lemmas whose occurrence lists
-  // mention the changed disjunct — OccurrenceCount is the predicted drop —
-  // and the re-evaluated answer is byte-identical.
-  const size_t predicted = kernel.lemma_db()->OccurrenceCount(0);
-  const size_t occupancy = kernel.lemma_db()->size();
-  const size_t dropped = kernel.InvalidateDisjunct(0);
-  EXPECT_EQ(dropped, predicted);
-  EXPECT_EQ(kernel.lemma_db()->size(), occupancy - dropped);
-  EXPECT_EQ(kernel.lemma_db()->OccurrenceCount(0), 0u);
+  // Invalidation is exact: ClearCache drops every lemma, and the next
+  // Evaluate re-learns by paying the first run's oracle calls again, with
+  // a byte-identical answer.
+  kernel.ClearCache();
+  EXPECT_EQ(kernel.lemma_db()->size(), 0u);
+  kernel.ResetStats();
   auto third = EvaluateQueryText(*ext, query);
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(first->formula, third->formula);
+  EXPECT_EQ(kernel.stats().oracle_calls, first_oracle_calls);
 }
 
 TEST(KernelLemmaTest, MetricsRegistryExportsLemmaFamily) {

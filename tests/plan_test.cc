@@ -5,13 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <string>
 
 #include "core/evaluator.h"
 #include "core/parser.h"
 #include "core/queries.h"
+#include "core/typecheck.h"
 #include "db/region_extension.h"
 #include "db/workloads.h"
+#include "plan/optimizer.h"
+#include "plan/planner.h"
 
 namespace lcdb {
 namespace {
@@ -69,6 +74,46 @@ TEST(PlanOptimizerTest, RegionConnPassCounters) {
   // in the inner Ry loop and must be hoisted past it.
   EXPECT_GT(stats.plan.hoisted_invariants, 0u);
   EXPECT_GT(stats.plan.cacheable_marked, 0u);
+}
+
+TEST(PlanOptimizerTest, MarksOnlyNodesTheExecutorMemoizes) {
+  // Boolean nodes other than the nonempty/rbit leaves run set-at-a-time and
+  // never read a cache mark. RegionConn on the comb is all such nodes below
+  // its root lift_bool, which is the one mark and, evaluated once, the one
+  // dead cache.
+  ConstraintDatabase db = MakeComb(2, true);
+  auto ext = MakeArrangementExtension(db);
+  auto query = ParseQuery(RegionConnQueryText(), db.relation_name());
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto info = TypeCheck(**query, db);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  CompiledPlan plan = BuildPlan(**query, *info, *ext);
+  PlanPassStats pass_stats;
+  OptimizePlan(&plan, &pass_stats);
+
+  std::set<const PlanNode*> seen;
+  size_t relation_nodes = 0;
+  size_t marked = 0;
+  std::function<void(const PlanNode&)> visit = [&](const PlanNode& node) {
+    if (!seen.insert(&node).second) return;
+    if (!node.IsSymbolic() && node.op != PlanOp::kNonEmpty &&
+        node.op != PlanOp::kRbitMember) {
+      ++relation_nodes;
+      EXPECT_NE(node.cache, CachePolicy::kByRegionKey) << PlanOpName(node.op);
+    }
+    if (node.cache == CachePolicy::kByRegionKey) ++marked;
+    for (const PlanPtr& child : node.children) visit(*child);
+  };
+  visit(*plan.root);
+  EXPECT_GT(relation_nodes, 0u);
+  EXPECT_EQ(marked, 1u);
+  EXPECT_EQ(pass_stats.cacheable_marked, 1u);
+  EXPECT_EQ(plan.root->op, PlanOp::kLiftBool);
+  EXPECT_EQ(plan.root->cache, CachePolicy::kByRegionKey);
+
+  Evaluator evaluator(*ext);
+  ASSERT_TRUE(evaluator.Explain(**query).ok());
+  EXPECT_EQ(evaluator.stats().plan_cost.dead_caches, 1u);
 }
 
 TEST(PlanOptimizerTest, ConstantFoldingAndPruning) {

@@ -12,6 +12,7 @@
 
 #include "core/evaluator.h"
 #include "core/queries.h"
+#include "db/io.h"
 #include "db/workloads.h"
 #include "engine/governor.h"
 #include "engine/session.h"
@@ -227,6 +228,38 @@ TEST_F(SessionTest, MetricsExportMergesSessionAndEvaluatorFamilies) {
   EXPECT_EQ(snapshot.labels.at("session.last_failure_class"), "none");
   const std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"session.queries\":1"), std::string::npos);
+}
+
+TEST_F(SessionTest, LemmasSurviveAcrossCalls) {
+  auto db = LoadDatabaseFromFile(std::string(LCDB_TEST_DATA_DIR) +
+                                 "/intervals.lcdb");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto ext = MakeArrangementExtension(*db);
+  const std::string query = "exists x . (S(x) & x > 2)";
+  // Every call runs on the session's one kernel, so the second call is
+  // served entirely from the lemmas the first one proved.
+  QuerySession session(*ext);
+  auto first = session.Evaluate(query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(session.Metrics().values.at("kernel.oracle_calls"), 5u);
+  auto second = session.Evaluate(query);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const MetricsSnapshot metrics = session.Metrics();
+  EXPECT_EQ(metrics.values.at("kernel.oracle_calls"), 0u);
+  EXPECT_GT(metrics.values.at("kernel.lemma.hits"), 0u);
+  EXPECT_EQ(metrics.values.at("kernel.lemma.misses"), 0u);
+  EXPECT_EQ(first->ToString(), second->ToString());
+  ASSERT_NE(session.kernel().lemma_db(), nullptr);
+  EXPECT_GT(session.kernel().lemma_db()->size(), 0u);
+
+  // A session without memoization keeps no store.
+  SessionOptions off;
+  off.kernel.memoize = false;
+  QuerySession unmemoized(*ext, off);
+  auto plain = unmemoized.Evaluate(query);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(plain->ToString(), first->ToString());
+  EXPECT_EQ(unmemoized.kernel().lemma_db(), nullptr);
 }
 
 TEST_F(SessionTest, MetricsSnapshotMerge) {
