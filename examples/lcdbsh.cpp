@@ -45,13 +45,12 @@
 //
 // Every query runs through a persistent QuerySession (engine/session.h).
 // Its one kernel keeps the lemmas every earlier query proved, so a repeated
-// LP decision is served from memory; budgets reset per attempt, resource
-// trips retry with escalated budgets
-// resuming from fixpoint checkpoints, and persistent faults walk the
-// degradation ladder (memoize->off, trace->off). A failure of
-// any kind (parse error, type error, tripped budget, injected fault) prints
-// a one-line diagnostic — naming the tripped budget when there is one — and
-// the shell keeps going.
+// LP decision is served from memory. Budgets reset per attempt, resource
+// trips retry with escalated budgets resuming from fixpoint checkpoints,
+// and persistent faults walk the degradation ladder (memoize->off,
+// trace->off). A failure of any kind (parse error, type error, tripped
+// budget, injected fault) prints a one-line diagnostic — naming the tripped
+// budget when there is one — and the shell keeps going.
 //
 // Example session:
 //   db S(x) : (x > 0 & x < 1) | x = 5
@@ -131,8 +130,9 @@ struct Session {
   }
 
   /// The shell's QuerySession, built lazily against the current extension.
-  /// Stats, quarantine and the degradation log accumulate across queries
-  /// until the extension (or the retry budget) changes.
+  /// Stats, quarantine, the degradation log and the kernel's lemmas
+  /// accumulate across queries until the extension (or the retry budget or
+  /// sampling period) changes.
   lcdb::QuerySession* QueryEngine() {
     if (!RebuildExtension()) return nullptr;
     if (qsession == nullptr) {

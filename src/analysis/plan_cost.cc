@@ -77,8 +77,7 @@ class CostAnalyzer {
   /// element-sort nonempty and rBIT tests — are filled one binding at a
   /// time, like every symbolic node.
   static bool RelationEvaluated(const PlanNode& node) {
-    return !node.IsSymbolic() && node.op != PlanOp::kNonEmpty &&
-           node.op != PlanOp::kRbitMember;
+    return !node.IsPerBinding();
   }
 
   /// 64-bit words of a relation over `columns` region columns (row-major,

@@ -587,18 +587,14 @@ class Optimizer {
 
   // ---- Pass 7: caching decisions. ----
 
-  /// Only nodes the executor memoizes are marked: symbolic nodes and the
-  /// relation module's leaves (nonempty, rbit). Every other boolean node
-  /// runs set-at-a-time (plan/relation_eval.h) and never reads the mark.
+  /// Only nodes the executor memoizes (IsPerBinding) are marked; every
+  /// other boolean node runs set-at-a-time and never reads the mark.
   void MarkCacheable(PlanNode* node) {
     if (!mark_seen_.insert(node).second) return;
-    const bool memoized = node->IsSymbolic() ||
-                          node->op == PlanOp::kNonEmpty ||
-                          node->op == PlanOp::kRbitMember;
     const bool narrow_key =
         node->free_sets.empty() || node->free_region.size() <= 1;
-    if (memoized && node->worth_caching && narrow_key &&
-        node->op != PlanOp::kConstFormula && node->op != PlanOp::kConstBool) {
+    if (node->IsPerBinding() && node->worth_caching && narrow_key &&
+        node->op != PlanOp::kConstFormula) {
       node->cache = CachePolicy::kByRegionKey;
       ++stats_->cacheable_marked;
     }

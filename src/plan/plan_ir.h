@@ -113,6 +113,13 @@ struct PlanNode {
   size_t est_fanout = 1;
 
   bool IsSymbolic() const { return op <= PlanOp::kExpandForall; }
+  /// Evaluated one binding at a time, and memoized, by the tree executor:
+  /// symbolic nodes and the nonempty/rbit leaves. Every other boolean node
+  /// runs set-at-a-time (plan/relation_eval.h).
+  bool IsPerBinding() const {
+    return IsSymbolic() || op == PlanOp::kNonEmpty ||
+           op == PlanOp::kRbitMember;
+  }
 };
 
 using PlanPtr = std::shared_ptr<PlanNode>;

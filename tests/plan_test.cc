@@ -96,8 +96,7 @@ TEST(PlanOptimizerTest, MarksOnlyNodesTheExecutorMemoizes) {
   size_t marked = 0;
   std::function<void(const PlanNode&)> visit = [&](const PlanNode& node) {
     if (!seen.insert(&node).second) return;
-    if (!node.IsSymbolic() && node.op != PlanOp::kNonEmpty &&
-        node.op != PlanOp::kRbitMember) {
+    if (!node.IsPerBinding()) {
       ++relation_nodes;
       EXPECT_NE(node.cache, CachePolicy::kByRegionKey) << PlanOpName(node.op);
     }

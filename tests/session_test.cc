@@ -1,6 +1,7 @@
 // QuerySession (engine/session.h): failure taxonomy, the deterministic
 // degradation ladder, bounded retries with budget escalation and
-// checkpoint/resume, the quarantine list, and the session.* metrics export.
+// checkpoint/resume, the quarantine list, lemma reuse across calls on the
+// session's one kernel, and the session.* metrics export.
 // Failpoints are *persistent* — once past skip_hits they fire on every
 // subsequent hit until disarmed — so an armed internal fault drives the
 // ladder all the way down, which is exactly what the ladder-order test
